@@ -359,7 +359,10 @@ def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:
         gens = [_cycles_to_permutation(gen, degree) for gen in args]
         return group_from_generators(gens, cap=cap, label=label)
     if kind == "table":
-        raw = np.loadtxt(args[0], dtype=np.int64)
+        try:
+            raw = np.loadtxt(args[0], dtype=np.int64)
+        except OSError as exc:
+            raise ValidationError(f"cannot read table file: {exc}") from exc
         return group_from_table(np.atleast_2d(raw), cap=cap, label=label)
     raise ValueError(f"unknown spec kind {kind!r}")
 

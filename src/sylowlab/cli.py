@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 all good, 1 at least one verification check failed, 2 usage,
-parse or build errors. Reports go to stdout, diagnostics to stderr. The
-SYLOWLAB_CAPS env var ("construction,subgroups,automorphisms") overrides
-the three size caps.
+parse or build errors, 141 (128 + SIGPIPE) stdout was closed before all
+output was written, as by `| head`. Reports go to stdout, diagnostics to
+stderr. The SYLOWLAB_CAPS env var ("construction,subgroups,automorphisms")
+overrides the three size caps.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -203,8 +205,19 @@ def main(argv=None) -> int:
         return 2
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull so the interpreter's
+        # final flush of the unwritten buffer does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from .subgroups import (
     subgroups_of_order,
     subgroups_within,
 )
-from .sylow import sylow_chain
+from .sylow import cached_sylow_chain
 
 _JSON_KEYS = ("theorem_id", "group", "params", "counted", "relation", "passed", "witnesses")
 
@@ -426,7 +426,7 @@ def count_normal_within(
 
 def _sylow_and_conjugates(group: FiniteGroup, p: int) -> tuple[SubgroupSet, list[np.ndarray]]:
     """A deterministic Sylow p-subgroup plus its distinct proper conjugates."""
-    top = sylow_chain(group, p).top
+    top = cached_sylow_chain(group, p).top
     conj = group.conj_table()
     images = np.sort(conj[:, top._arr], axis=1)
     distinct = np.unique(images, axis=0)
@@ -511,7 +511,7 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
         raise PrimeDoesNotDivideOrder(f"{p} does not divide {h}")
     lam = valuation(h, p)
     conj = group.conj_table()
-    top = sylow_chain(group, p).top
+    top = cached_sylow_chain(group, p).top
     norm_top = normalizer(top)
     norm_idx = norm_top._arr
     normals = [q for q in subgroups_within(top, caps.subgroups) if is_normal_within(q, top)]
@@ -593,7 +593,7 @@ def sylow_single_class(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) ->
 
 def sylow_chain_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     """The constructed Sylow tower is nested, normal step by step, and lands on a true Sylow subgroup."""
-    chain = sylow_chain(group, p)
+    chain = cached_sylow_chain(group, p)
     lam = chain.exponent
     ok_orders = all(sub.size == p ** (i + 1) for i, sub in enumerate(chain.chain))
     ok_nested = all(

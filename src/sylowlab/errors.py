@@ -68,13 +68,6 @@ class PrimePowerDoesNotDivideOrder(SylowLabError):
     """The prime power p^k does not divide the group order."""
 
 
-class SylowNormal(SylowLabError):
-    """The Sylow p-subgroup is normal, so a conjugate-based check is vacuous.
-
-    Checks that hit this condition report not-applicable instead of raising.
-    """
-
-
 class ParseError(SylowLabError):
     """Group-spec text failed to parse.
 

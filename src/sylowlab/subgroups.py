@@ -238,20 +238,36 @@ def _prime_power_cyclics(group: FiniteGroup) -> list[tuple[int, np.ndarray, int]
     return out
 
 
+def _require_lattice_cap(order: int, cap: int | None) -> None:
+    cap = DEFAULT_CAPS.subgroups if cap is None else cap
+    if order > cap:
+        raise EnumerationCapExceeded(
+            f"group order {order} exceeds the subgroup enumeration cap {cap}"
+        )
+
+
 def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSet]:
     """Every subgroup exactly once, sorted by (order, member list).
 
-    Layered cyclic extension: grow each known subgroup by one cyclic
-    prime-power subgroup not yet inside it, close, and deduplicate on the
-    membership bitset.
+    Cyclic extension on conjugacy-class representatives (Neubueser's
+    method; Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005). Only one subgroup per conjugacy class is queued, and it
+    is grown by every cyclic prime-power subgroup not yet inside it. When
+    an extension finds a new subgroup, its whole conjugation orbit joins
+    the result, deduplicated on the membership bitset, but only that one
+    subgroup is queued. So the found set is always a union of whole
+    classes with one queued representative each.
+
+    Nothing is missed: every subgroup L > 1 is <M, C> for a proper
+    subgroup M and a cyclic prime-power C, and if M^t is the queued
+    representative of M's class then extending it by C^t gives L^t,
+    because <M, C>^t = <M^t, C^t>. In an abelian group every class is a
+    single subgroup, so the orbit step is skipped.
     """
-    cap = DEFAULT_CAPS.subgroups if cap is None else cap
-    if group.order > cap:
-        raise EnumerationCapExceeded(
-            f"group order {group.order} exceeds the subgroup enumeration cap {cap}"
-        )
+    _require_lattice_cap(group.order, cap)
     cached = group._cache.get("subgroups")
     if cached is None:
+        conj = None if group.is_abelian() else group.conj_table()
         trivial = np.zeros(1, dtype=np.int32)
         found: dict[int, np.ndarray] = {1: trivial}
         work: deque[tuple[int, np.ndarray]] = deque([(1, trivial)])
@@ -263,10 +279,14 @@ def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSe
                     continue
                 karr = _extend_subgroup(group, harr, carr, gen_closed=True)
                 kmask = _mask_of(karr)
-                if kmask not in found:
-                    found[kmask] = karr
-                    if karr.size < group.order:
-                        work.append((kmask, karr))
+                if kmask in found:
+                    continue
+                found[kmask] = karr
+                if conj is not None:
+                    for row in np.unique(np.sort(conj[:, karr], axis=1), axis=0):
+                        found.setdefault(_mask_of(row), row)
+                if karr.size < group.order:
+                    work.append((kmask, karr))
         subs = [SubgroupSet._unchecked(group, arr) for arr in found.values()]
         subs.sort(key=lambda s: (s.size, s.members))
         cached = subs
@@ -438,7 +458,16 @@ def as_group(a: SubgroupSet) -> tuple[FiniteGroup, np.ndarray]:
 
 
 def subgroups_within(a: SubgroupSet, cap: int | None = None) -> list[SubgroupSet]:
-    """Subgroups of A, returned as subgroup sets of A's parent."""
+    """Subgroups of A, returned as subgroup sets of A's parent.
+
+    Filters the parent's lattice when it is already cached; otherwise
+    enumerates A as a standalone group. Both give the same order, because
+    the embedding is ascending.
+    """
+    lattice = a.parent._cache.get("subgroups")
+    if lattice is not None:
+        _require_lattice_cap(a.size, cap)
+        return [s for s in lattice if a.contains_subgroup(s)]
     grp, emb = as_group(a)
     return [
         SubgroupSet._unchecked(a.parent, np.sort(emb[s._arr]).astype(np.int32))

@@ -109,6 +109,14 @@ def sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
     return SylowChain(prime=p, exponent=lam, chain=chain)
 
 
+def cached_sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
+    """sylow_chain(group, p), built once per prime and kept in the group's cache."""
+    chains = group._cache.setdefault("sylow_chains", {})
+    if p not in chains:
+        chains[p] = sylow_chain(group, p)
+    return chains[p]
+
+
 def chief_series(pgroup: FiniteGroup) -> ChiefSeries:
     """Normal subgroups of orders p..p^(lambda-1), each inside the next.
 

@@ -2,11 +2,18 @@
 
 Everything here is deliberately naive: plain Python loops over the raw
 multiplication table, no reuse of the engine's closure or lattice code.
+The one exception is subgroups_by_layered_extension, the engine's former
+lattice enumerator, kept as the reference for the one that replaced it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
+
+import numpy as np
+
+from sylowlab.subgroups import _extend_subgroup, _mask_of, _prime_power_cyclics
 
 
 def brute_closure(group, seed) -> frozenset[int]:
@@ -57,6 +64,34 @@ def subgroups_by_pair_closures(group) -> set[frozenset[int]]:
         for b in range(a, h):
             out.add(brute_closure(group, (a, b)))
     return out
+
+
+def subgroups_by_layered_extension(group) -> list[tuple[int, ...]]:
+    """Member tuples of every subgroup, sorted by (order, members).
+
+    Extends every subgroup found, not one per conjugacy class, by every
+    cyclic prime-power subgroup not yet inside it. It reuses the engine's
+    _extend_subgroup for the closure and _prime_power_cyclics for the
+    candidates, so it checks the class-representative bookkeeping of
+    all_subgroups, not the closure itself.
+    """
+    trivial = np.zeros(1, dtype=np.int32)
+    found = {1: trivial}
+    work = deque([(1, trivial)])
+    candidates = _prime_power_cyclics(group)
+    while work:
+        hmask, harr = work.popleft()
+        for _, carr, cmask in candidates:
+            if cmask & hmask == cmask:
+                continue
+            karr = _extend_subgroup(group, harr, carr, gen_closed=True)
+            kmask = _mask_of(karr)
+            if kmask not in found:
+                found[kmask] = karr
+                if karr.size < group.order:
+                    work.append((kmask, karr))
+    members = (tuple(int(i) for i in arr) for arr in found.values())
+    return sorted(members, key=lambda m: (len(m), m))
 
 
 def conjugacy_partition(group) -> list[frozenset[int]]:

@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, exit codes, caps env, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,29 @@ def test_verify_single_group_passes(capsys):
 def test_verify_parse_error_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "nosuch:1")
     assert code == 2 and out == "" and "parse error" in err
+
+
+def test_verify_missing_table_file_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", f"table:@{tmp_path / 'missing.txt'}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "missing.txt" in err
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that closes the pipe early, as `| head` does, gets no traceback."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sylowlab.cli", "verify", "sym:3", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_verify_usage_errors(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sylowlab.catalog import build
+from sylowlab.catalog import build, standard_catalog
 from sylowlab.errors import EnumerationCapExceeded, NotNormal, ParentMismatch
 from sylowlab.groups import element_order
 from sylowlab.subgroups import (
@@ -27,11 +27,19 @@ from sylowlab.subgroups import (
     quotient,
     subgroup_conjugacy_classes,
     subgroups_of_order,
+    subgroups_within,
     trivial_subgroup,
     whole_group,
 )
 
-from oracles import brute_closure, conjugacy_partition, is_hom_bijection, subgroups_by_pair_closures, subgroups_by_subsets
+from oracles import (
+    brute_closure,
+    conjugacy_partition,
+    is_hom_bijection,
+    subgroups_by_layered_extension,
+    subgroups_by_pair_closures,
+    subgroups_by_subsets,
+)
 
 
 def by_names(group, *names):
@@ -94,6 +102,44 @@ def test_all_subgroups_sorted_and_valid():
         assert 0 in s
         assert s4.order % s.size == 0
         SubgroupSet(s4, s.members)  # re-validates closure
+
+
+@pytest.fixture(scope="module")
+def lattice_groups():
+    """standard_catalog(60), which includes elab:2^5, plus dihedral:64."""
+    return [group for _, group in standard_catalog(60)] + [build("dihedral:64")]
+
+
+def test_all_subgroups_matches_layered_extension_oracle(lattice_groups):
+    assert {g.is_abelian() for g in lattice_groups} == {True, False}
+    for group in lattice_groups:
+        got = [s.members for s in all_subgroups(group)]
+        assert got == subgroups_by_layered_extension(group), group.label
+
+
+def test_all_subgroups_is_closed_under_conjugation(lattice_groups):
+    for group in lattice_groups:
+        subs = all_subgroups(group)
+        member_sets = {frozenset(s.members) for s in subs}
+        conj = group.conj_table()
+        for s in subs:
+            for row in conj[:, s.member_array()]:
+                assert frozenset(row.tolist()) in member_sets, (group.label, s)
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "dihedral:16", "alt:5", "prod(cyclic:2,q8)", "elab:2^4"])
+def test_subgroups_within_same_with_and_without_parent_lattice(spec):
+    cached = build(spec)
+    fresh = build(spec)
+    for a in all_subgroups(cached):
+        bare = SubgroupSet(fresh, a.members)
+        with_lattice = [s.members for s in subgroups_within(a)]
+        without = [s.members for s in subgroups_within(bare)]
+        assert with_lattice == without, a
+    assert "subgroups" not in fresh._cache
+    for group in (cached, fresh):
+        with pytest.raises(EnumerationCapExceeded):
+            subgroups_within(whole_group(group), cap=group.order - 1)
 
 
 def test_enumeration_cap():

@@ -25,6 +25,7 @@ from sylowlab.subgroups import (
     whole_group,
 )
 from sylowlab.sylow import (
+    cached_sylow_chain,
     central_element_of_order_p,
     chief_series,
     coprime_decomposition,
@@ -73,6 +74,15 @@ def test_sylow_chain_catalog_sweep():
             chain = sylow_chain(group, p)
             assert_valid_chain(group, p, chain)
             assert chain.top in subgroups_of_order(group, chain.top.size)
+
+
+def test_cached_sylow_chain_equals_a_fresh_build():
+    for name, group in standard_catalog(24):
+        for p in prime_factorization(group.order):
+            cached = cached_sylow_chain(group, p)
+            assert cached_sylow_chain(group, p) is cached
+            fresh = sylow_chain(build(name), p)
+            assert [s.members for s in cached.chain] == [s.members for s in fresh.chain]
 
 
 def test_chief_series_prime_order_is_empty():
