@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 all good, 1 at least one verification check failed, 2 usage,
-parse or build errors, 141 (128 + SIGPIPE) stdout was closed before all
-output was written, as by `| head`. Reports go to stdout, diagnostics to
+parse or build errors, 3 an engine invariant broke (a bug, not a failed
+check), 141 (128 + SIGPIPE) stdout was closed before all output was
+written, as by `| head`. Reports go to stdout, diagnostics to
 stderr. The SYLOWLAB_CAPS env var ("construction,subgroups,automorphisms")
 overrides the three size caps.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .catalog import build, parse_spec, render, standard_catalog
 from .config import Caps, caps_from_env
-from .counting import theorem_suite
+from .counting import _members_str, theorem_suite
 from .errors import SylowLabError
 from .groups import FiniteGroup
 from .subgroups import (
@@ -29,10 +30,6 @@ from .subgroups import (
     normalizer,
 )
 from .sylow import coprime_decomposition, sylow_chain
-
-
-def _members_str(indices) -> str:
-    return "{" + ",".join(str(int(i)) for i in indices) + "}"
 
 
 def _load_group(text: str, caps: Caps) -> FiniteGroup:
@@ -107,8 +104,9 @@ def _cmd_decompose(args, caps: Caps) -> int:
 
 
 def _theorem_filter(raw: str | None):
+    """Predicate on theorem ids: an exact id or a section prefix; None selects all."""
     if raw is None:
-        return lambda theorem_id: True
+        return None
     wanted = {part.strip() for part in raw.split(",") if part.strip()}
 
     def selected(theorem_id: str) -> bool:
@@ -132,9 +130,7 @@ def _cmd_verify(args, caps: Caps) -> int:
     selected = _theorem_filter(args.theorems)
     failed = False
     for _, group in groups:
-        for report in theorem_suite(group, caps):
-            if not selected(report.theorem_id):
-                continue
+        for report in theorem_suite(group, caps, selected):
             print(report.json_line() if args.json else report.text_line())
             if not report.passed:
                 failed = True
@@ -203,6 +199,9 @@ def main(argv=None) -> int:
     except (SylowLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: internal invariant broken: {exc}", file=sys.stderr)
+        return 3
 
 
 EXIT_BROKEN_PIPE = 141

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import gcd
+from operator import attrgetter
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .numtheory import divisors, is_prime, prime_factorization, prime_power_base
 from .subgroups import (
     ComplexSet,
     SubgroupSet,
+    _mask_of,
     all_subgroups,
     closure_of,
     is_characteristic,
@@ -36,6 +40,7 @@ from .subgroups import (
     is_normal_within,
     normalizer,
     subgroup_conjugacy_classes,
+    subgroup_orbit,
     subgroups_of_order,
     subgroups_within,
 )
@@ -88,8 +93,8 @@ class KindClassification:
     second_kind: list[SubgroupSet]
 
 
-def _members_str(s: SubgroupSet) -> str:
-    return "{" + ",".join(str(i) for i in s._arr) + "}"
+def _members_str(indices) -> str:
+    return "{" + ",".join(str(int(i)) for i in indices) + "}"
 
 
 def _solutions(group: FiniteGroup, n: int) -> np.ndarray:
@@ -111,6 +116,13 @@ def count_elements_of_order(group: FiniteGroup, m: int) -> int:
     return int((group.elem_order == m).sum())
 
 
+def _require_prime_divides(group: FiniteGroup, p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if group.order % p != 0:
+        raise PrimeDoesNotDivideOrder(f"{p} does not divide {group.order}")
+
+
 def verify_divisibility(group: FiniteGroup, n: int) -> VerificationReport:
     """gcd(n, h) divides the number of solutions of x^n = identity."""
     count = count_solutions(group, n)
@@ -127,10 +139,7 @@ def verify_divisibility(group: FiniteGroup, n: int) -> VerificationReport:
 
 def verify_order_p_form(group: FiniteGroup, p: int) -> VerificationReport:
     """The count of order-p elements has the shape (p-1)(np+1)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if group.order % p != 0:
-        raise PrimeDoesNotDivideOrder(f"{p} does not divide {group.order}")
+    _require_prime_divides(group, p)
     count = count_elements_of_order(group, p)
     q, rem = divmod(count, p - 1) if p > 1 else (0, 1)
     params: dict[str, int] = {"p": p}
@@ -172,7 +181,7 @@ def solution_subgroup(group: FiniteGroup, n: int, caps: Caps = DEFAULT_CAPS) -> 
         counted=generated.size,
         relation=relation,
         passed=passed,
-        witnesses=[_members_str(generated)],
+        witnesses=[_members_str(generated._arr)],
     )
 
 
@@ -195,9 +204,7 @@ def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSe
     k = 2
     while True:
         power_arr = np.unique(table[np.ix_(power_arr, base)])
-        mask = 0
-        for i in power_arr:
-            mask |= 1 << int(i)
+        mask = _mask_of(power_arr)
         if mask in seen:
             rr = seen[mask]
             ss = k - rr
@@ -321,7 +328,7 @@ def count_containing(
         counted=counted,
         relation=f"{counted} == 1 (mod {p})",
         passed=counted % p == 1,
-        witnesses=[f"P={_members_str(p_sub)}"],
+        witnesses=[f"P={_members_str(p_sub._arr)}"],
     )
 
 
@@ -420,18 +427,8 @@ def count_normal_within(
         counted=counted,
         relation=f"{counted} == 1 (mod {p})",
         passed=counted % p == 1,
-        witnesses=[f"G={_members_str(normal_sub)}"],
+        witnesses=[f"G={_members_str(normal_sub._arr)}"],
     )
-
-
-def _sylow_and_conjugates(group: FiniteGroup, p: int) -> tuple[SubgroupSet, list[np.ndarray]]:
-    """A deterministic Sylow p-subgroup plus its distinct proper conjugates."""
-    top = cached_sylow_chain(group, p).top
-    conj = group.conj_table()
-    images = np.sort(conj[:, top._arr], axis=1)
-    distinct = np.unique(images, axis=0)
-    others = [row for row in distinct if not np.array_equal(row, top._arr)]
-    return top, others
 
 
 def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
@@ -440,14 +437,12 @@ def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Verifi
     Not applicable when the Sylow p-subgroup is normal: there is no proper
     conjugate to define delta.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime_divides(group, p)
     h = group.order
-    if h % p != 0:
-        raise PrimeDoesNotDivideOrder(f"{p} does not divide {h}")
     lam = valuation(h, p)
-    top, other_conjugates = _sylow_and_conjugates(group, p)
-    if not other_conjugates:
+    top = cached_sylow_chain(group, p).top
+    conjugates = subgroup_orbit(group.conj_table(), top._arr)
+    if len(conjugates) == 1:
         return VerificationReport(
             theorem_id="S5.7",
             group=group.label,
@@ -457,13 +452,7 @@ def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Verifi
             passed=True,
             applicable=False,
         )
-    top_mask = top.mask
-    delta = 0
-    for row in other_conjugates:
-        mask = 0
-        for i in row:
-            mask |= 1 << int(i)
-        delta = max(delta, valuation((mask & top_mask).bit_count(), p))
+    delta = max(valuation((mask & top.mask).bit_count(), p) for mask in conjugates if mask != top.mask)
     modulus = p ** (lam - delta)
     norm_top = normalizer(top)
     p_prime = norm_top.size
@@ -504,41 +493,28 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
     order fall into as many H-classes as the Sylow subgroup's normal
     subgroups do under its normalizer.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime_divides(group, p)
     h = group.order
-    if h % p != 0:
-        raise PrimeDoesNotDivideOrder(f"{p} does not divide {h}")
     lam = valuation(h, p)
     conj = group.conj_table()
     top = cached_sylow_chain(group, p).top
     norm_top = normalizer(top)
-    norm_idx = norm_top._arr
+    conj_norm = conj[norm_top._arr]
     normals = [q for q in subgroups_within(top, caps.subgroups) if is_normal_within(q, top)]
     witnesses: list[str] = []
     passed = True
     pairs_checked = 0
     by_mask = {q.mask: i for i, q in enumerate(normals)}
     for q0 in normals:
-        rows_all = np.sort(conj[:, q0._arr], axis=1)
-        rows_norm = rows_all[norm_idx]
-        reachable_in_norm = set()
-        for row in np.unique(rows_norm, axis=0):
-            mask = 0
-            for i in row:
-                mask |= 1 << int(i)
-            reachable_in_norm.add(mask)
-        for row in np.unique(rows_all, axis=0):
-            mask = 0
-            for i in row:
-                mask |= 1 << int(i)
+        reachable_in_norm = subgroup_orbit(conj_norm, q0._arr)
+        for mask in subgroup_orbit(conj, q0._arr):
             if mask not in by_mask or mask == q0.mask:
                 continue
             pairs_checked += 1
             if mask not in reachable_in_norm:
                 passed = False
                 witnesses.append(
-                    f"pair {_members_str(q0)} ~H~ {_members_str(normals[by_mask[mask]])} "
+                    f"pair {_members_str(q0._arr)} ~H~ {_members_str(normals[by_mask[mask]]._arr)} "
                     "not conjugate in the Sylow normalizer"
                 )
     # class-count corollary, per subgroup order
@@ -571,11 +547,8 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
 
 def sylow_single_class(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     """Sylow p-subgroups form one conjugacy class; their count is 1 mod p and divides h."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime_divides(group, p)
     h = group.order
-    if h % p != 0:
-        raise PrimeDoesNotDivideOrder(f"{p} does not divide {h}")
     lam = valuation(h, p)
     syl = subgroups_of_order(group, p**lam, caps.subgroups)
     classes = subgroup_conjugacy_classes(syl)
@@ -617,68 +590,110 @@ def sylow_chain_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> 
         counted=lam,
         relation=f"chain orders p..p^{lam}, each normal in the next; {lattice_note}",
         passed=passed,
-        witnesses=[_members_str(s) for s in chain.chain],
+        witnesses=[_members_str(s._arr) for s in chain.chain],
     )
 
 
-def theorem_suite(group: FiniteGroup, caps: Caps = DEFAULT_CAPS, full_sweep_limit: int = 64) -> list[VerificationReport]:
-    """Run every applicable check over all parameter combinations within caps.
+FULL_SWEEP_LIMIT = 64  # intro.gcd sweeps every n in 1..h up to this order, the divisors of h above
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One row of the suite table.
+
+    params(group, caps, p) yields the keyword arguments of each report, and
+    run(group, caps, kw) makes the report, looking its check function up by
+    name at call time. Consecutive per_prime rows share one loop over the
+    primes and receive its p; other rows get p=None.
+    """
+
+    theorem_id: str
+    needs_lattice: bool
+    params: Callable[[FiniteGroup, Caps, int | None], Iterable[dict]]
+    run: Callable[[FiniteGroup, Caps, dict], VerificationReport]
+    per_prime: bool = False
+
+
+def _primes(group: FiniteGroup) -> list[int]:
+    return sorted(prime_factorization(group.order))
+
+
+def _each_prime(group, caps, p):
+    return [{"p": q} for q in _primes(group)]
+
+
+def _each_divisor(group, caps, p):
+    return [{"n": n} for n in divisors(group.order)]
+
+
+def _moduli(group, caps, p):
+    h = group.order
+    return [{"n": n} for n in (range(1, h + 1) if h <= FULL_SWEEP_LIMIT else divisors(h))]
+
+
+def _coprime_pairs(group, caps, p):
+    divs = divisors(group.order)
+    return [{"r": r, "s": s} for i, r in enumerate(divs) for s in divs[i + 1:] if r > 1 and gcd(r, s) == 1]
+
+
+def _kappas(group, caps, p):
+    return [{"p": p, "kappa": kappa} for kappa in range(1, valuation(group.order, p) + 1)]
+
+
+def _p_subgroups(group, caps, p):
+    """Each nontrivial p-subgroup with each exponent from its own up to the Sylow one."""
+    for sub in all_subgroups(group, caps.subgroups):
+        if sub.size > 1 and prime_power_base(sub.size) == p:
+            for kappa in range(valuation(sub.size, p), valuation(group.order, p) + 1):
+                yield {"p_sub": sub, "p": p, "kappa": kappa}
+
+
+def _normal_subgroups(group, caps, p):
+    """Each nontrivial normal subgroup with each exponent up to its own, in p-groups only."""
+    primes = _primes(group)
+    if len(primes) != 1:
+        return
+    for sub in all_subgroups(group, caps.subgroups):
+        if sub.size > 1 and is_normal(sub):
+            for kappa in range(1, valuation(sub.size, primes[0]) + 1):
+                yield {"normal_sub": sub, "p": primes[0], "kappa": kappa}
+
+
+_SUITE = (
+    _Check("intro.gcd", False, _moduli, lambda g, caps, kw: verify_divisibility(g, **kw)),
+    _Check("intro.pcount", False, _each_prime, lambda g, caps, kw: verify_order_p_form(g, **kw)),
+    _Check("intro.sylow", True, _each_prime, lambda g, caps, kw: sylow_single_class(g, caps=caps, **kw)),
+    _Check("S3.I", False, _each_prime, lambda g, caps, kw: sylow_chain_check(g, caps=caps, **kw)),
+    _Check("S2.III", False, _each_divisor, lambda g, caps, kw: solution_subgroup(g, caps=caps, **kw)),
+    _Check("S2.power", False, _each_divisor, lambda g, caps, kw: power_stabilization_check(g, **kw)),
+    _Check("S2.IV", False, _coprime_pairs, lambda g, caps, kw: verify_coprime_product(g, **kw)),
+    _Check("S4.I", True, _kappas, lambda g, caps, kw: count_p_subgroups(g, caps=caps, **kw), per_prime=True),
+    _Check("S4.II", True, _p_subgroups, lambda g, caps, kw: count_containing(g, caps=caps, **kw), per_prime=True),
+    _Check("S4.4", True, _kappas, lambda g, caps, kw: incidence_check(g, caps=caps, **kw), per_prime=True),
+    _Check("S5.I", True, _kappas, lambda g, caps, kw: classify_kinds(g, caps=caps, **kw)[1], per_prime=True),
+    _Check("S5.II", True, _normal_subgroups, lambda g, caps, kw: count_normal_within(g, caps=caps, **kw)),
+    _Check("S5.7", True, _each_prime, lambda g, caps, kw: congruence7(g, caps=caps, **kw)),
+    _Check("S5.III", True, _each_prime, lambda g, caps, kw: normal_fusion_check(g, caps=caps, **kw)),
+)
+
+
+def theorem_suite(
+    group: FiniteGroup, caps: Caps = DEFAULT_CAPS, selected: Callable[[str], bool] | None = None
+) -> list[VerificationReport]:
+    """Run every applicable row of the suite table, in table order.
 
     The headline divisibility check sweeps every n in 1..h while h is at
-    most full_sweep_limit and falls back to divisors above it. Checks that
-    need the subgroup lattice are skipped for groups over the enumeration
-    cap.
+    most FULL_SWEEP_LIMIT and the divisors of h above it. Checks that need
+    the subgroup lattice are skipped for groups over the enumeration cap.
+    selected says from a theorem id whether to run that check; a check it
+    rejects is not computed, parameters included.
     """
-    h = group.order
+    lattice_ok = group.order <= caps.subgroups
     reports: list[VerificationReport] = []
-    divs = divisors(h)
-    primes = sorted(prime_factorization(h))
-    can_enumerate = h <= caps.subgroups
-
-    ns = range(1, h + 1) if h <= full_sweep_limit else divs
-    for n in ns:
-        reports.append(verify_divisibility(group, n))
-    for p in primes:
-        reports.append(verify_order_p_form(group, p))
-    if can_enumerate:
-        for p in primes:
-            reports.append(sylow_single_class(group, p, caps))
-    for p in primes:
-        reports.append(sylow_chain_check(group, p, caps))
-    for n in divs:
-        reports.append(solution_subgroup(group, n, caps))
-    for n in divs:
-        reports.append(power_stabilization_check(group, n))
-    for i, r in enumerate(divs):
-        for s in divs[i + 1:]:
-            if r > 1 and gcd(r, s) == 1:
-                reports.append(verify_coprime_product(group, r, s))
-    if can_enumerate:
-        for p in primes:
-            lam = valuation(h, p)
-            for kappa in range(1, lam + 1):
-                reports.append(count_p_subgroups(group, p, kappa, caps))
-            p_subs = [
-                s for s in all_subgroups(group, caps.subgroups)
-                if s.size > 1 and prime_power_base(s.size) == p
-            ]
-            for sub in p_subs:
-                theta = valuation(sub.size, p)
-                for kappa in range(theta, lam + 1):
-                    reports.append(count_containing(group, sub, p, kappa, caps))
-            for kappa in range(1, lam + 1):
-                reports.append(incidence_check(group, p, kappa, caps))
-            for kappa in range(1, lam + 1):
-                reports.append(classify_kinds(group, p, kappa, caps)[1])
-        if len(primes) == 1 and primes[0] ** valuation(h, primes[0]) == h and h > 1:
-            p = primes[0]
-            for normal_sub in all_subgroups(group, caps.subgroups):
-                if normal_sub.size == 1 or not is_normal(normal_sub):
-                    continue
-                for kappa in range(1, valuation(normal_sub.size, p) + 1):
-                    reports.append(count_normal_within(group, normal_sub, p, kappa, caps))
-        for p in primes:
-            reports.append(congruence7(group, p, caps))
-        for p in primes:
-            reports.append(normal_fusion_check(group, p, caps))
+    for per_prime, rows in groupby(_SUITE, key=attrgetter("per_prime")):
+        block = [c for c in rows if (lattice_ok or not c.needs_lattice)
+                 and (selected is None or selected(c.theorem_id))]
+        for p in _primes(group) if per_prime else (None,):
+            for check in block:
+                reports.extend(check.run(group, caps, kw) for kw in check.params(group, caps, p))
     return reports

@@ -27,6 +27,17 @@ def _mask_of(arr: np.ndarray) -> int:
     return mask
 
 
+def subgroup_orbit(conj_rows: np.ndarray, arr: np.ndarray) -> dict[int, np.ndarray]:
+    """Conjugates of the subgroup with members arr, keyed by bitset.
+
+    conj_rows holds one conjugation-table row per acting element: pass
+    conj for the whole group or conj[actors] to restrict it. Values are
+    sorted member arrays, in np.unique row order.
+    """
+    rows = np.unique(np.sort(conj_rows[:, arr], axis=1), axis=0)
+    return {_mask_of(row): row for row in rows}
+
+
 class ComplexSet:
     """An arbitrary subset of a group's elements (no closure requirement)."""
 
@@ -75,9 +86,7 @@ class SubgroupSet:
         if self._arr[-1] >= self.parent.order:
             raise ValueError("members out of range for parent group")
         prods = self.parent.table[np.ix_(self._arr, self._arr)]
-        inside = np.zeros(self.parent.order, dtype=bool)
-        inside[self._arr] = True
-        if not inside[prods].all():
+        if not _inside(self)[prods].all():
             raise ValueError("member set is not closed under the group product")
 
     @classmethod
@@ -127,47 +136,34 @@ class SubgroupSet:
         return f"SubgroupSet(order={self.size}, members=[{shown}{more}])"
 
 
+def _inside(a: SubgroupSet) -> np.ndarray:
+    """Boolean membership vector of A over the parent's elements."""
+    inside = np.zeros(a.parent.order, dtype=bool)
+    inside[a._arr] = True
+    return inside
+
+
 def _require_same_parent(a, b) -> None:
     if a.parent is not b.parent:
         raise ParentMismatch("operands live in different parent groups")
 
 
-def _closure_arr(group: FiniteGroup, seed: np.ndarray) -> np.ndarray:
-    """Members of the subgroup generated by seed, as a sorted index array."""
-    table = group.table
-    present = np.zeros(group.order, dtype=bool)
-    present[seed] = True
-    present[0] = True
-    members = np.flatnonzero(present).astype(np.int32)
-    frontier = members
-    while frontier.size:
-        prods = np.concatenate(
-            (table[np.ix_(frontier, members)].ravel(), table[np.ix_(members, frontier)].ravel())
-        )
-        new = np.unique(prods)
-        new = new[~present[new]]
-        if new.size == 0:
-            break
-        present[new] = True
-        members = np.flatnonzero(present).astype(np.int32)
-        frontier = new.astype(np.int32)
-    return members
-
-
 def _extend_subgroup(
     group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarray, gen_closed: bool = False
 ) -> np.ndarray:
-    """Closure of an already-closed subgroup plus extra generators."""
+    """Closure of an already-closed subgroup plus extra generators.
+
+    gen_closed says the generators are themselves a subgroup K; in an
+    abelian group the result is then the product HK.
+    """
     table = group.table
     present = np.zeros(group.order, dtype=bool)
     present[sub_arr] = True
     frontier = gen_arr[~present[gen_arr]]
     if frontier.size == 0:
         return sub_arr
-    if group.is_abelian():
-        # HK is already a subgroup when everything commutes.
-        karr = gen_arr if gen_closed else _closure_arr(group, gen_arr)
-        return np.unique(table[np.ix_(sub_arr, karr)]).astype(np.int32)
+    if gen_closed and group.is_abelian():
+        return np.unique(table[np.ix_(sub_arr, gen_arr)]).astype(np.int32)
     present[frontier] = True
     members = np.flatnonzero(present).astype(np.int32)
     while frontier.size:
@@ -186,7 +182,7 @@ def _extend_subgroup(
 
 def closure_of(s: ComplexSet) -> SubgroupSet:
     """Smallest subgroup containing the given complex (empty gives trivial)."""
-    return SubgroupSet._unchecked(s.parent, _closure_arr(s.parent, s._arr))
+    return SubgroupSet._unchecked(s.parent, _extend_subgroup(s.parent, np.zeros(1, dtype=np.int32), s._arr))
 
 
 def trivial_subgroup(group: FiniteGroup) -> SubgroupSet:
@@ -200,7 +196,7 @@ def whole_group(group: FiniteGroup) -> SubgroupSet:
 def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> SubgroupSet:
     """Subgroup generated by the given element indices."""
     arr = np.unique(np.fromiter((int(g) for g in gens), dtype=np.int32))
-    return SubgroupSet._unchecked(group, _closure_arr(group, arr))
+    return SubgroupSet._unchecked(group, _extend_subgroup(group, np.zeros(1, dtype=np.int32), arr))
 
 
 def cyclic_subgroup(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:
@@ -281,10 +277,7 @@ def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSe
                 kmask = _mask_of(karr)
                 if kmask in found:
                     continue
-                found[kmask] = karr
-                if conj is not None:
-                    for row in np.unique(np.sort(conj[:, karr], axis=1), axis=0):
-                        found.setdefault(_mask_of(row), row)
+                found.update({kmask: karr} if conj is None else subgroup_orbit(conj, karr))
                 if karr.size < group.order:
                     work.append((kmask, karr))
         subs = [SubgroupSet._unchecked(group, arr) for arr in found.values()]
@@ -302,26 +295,20 @@ def subgroups_of_order(group: FiniteGroup, m: int, cap: int | None = None) -> li
 def is_normal(a: SubgroupSet) -> bool:
     """True iff t^-1 A t = A for every t in the parent."""
     conj = a.parent.conj_table()
-    inside = np.zeros(a.parent.order, dtype=bool)
-    inside[a._arr] = True
-    return bool(inside[conj[:, a._arr]].all())
+    return bool(_inside(a)[conj[:, a._arr]].all())
 
 
 def is_normal_within(a: SubgroupSet, ambient: SubgroupSet) -> bool:
     """True iff every element of ambient conjugates A to itself."""
     _require_same_parent(a, ambient)
     conj = a.parent.conj_table()
-    inside = np.zeros(a.parent.order, dtype=bool)
-    inside[a._arr] = True
-    return bool(inside[conj[np.ix_(ambient._arr, a._arr)]].all())
+    return bool(_inside(a)[conj[np.ix_(ambient._arr, a._arr)]].all())
 
 
 def normalizer(a: SubgroupSet) -> SubgroupSet:
     """All t with t^-1 A t = A; a subgroup containing A."""
     conj = a.parent.conj_table()
-    inside = np.zeros(a.parent.order, dtype=bool)
-    inside[a._arr] = True
-    rows = inside[conj[:, a._arr]].all(axis=1)
+    rows = _inside(a)[conj[:, a._arr]].all(axis=1)
     return SubgroupSet._unchecked(a.parent, np.flatnonzero(rows).astype(np.int32))
 
 
@@ -333,8 +320,7 @@ def centralizer(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:
 
 def center(group: FiniteGroup) -> SubgroupSet:
     """Elements commuting with the whole group."""
-    rows = (group.table == group.table.T).all(axis=1)
-    return SubgroupSet._unchecked(group, np.flatnonzero(rows).astype(np.int32))
+    return SubgroupSet._unchecked(group, np.flatnonzero(group.central_mask()).astype(np.int32))
 
 
 @dataclass(frozen=True)
@@ -489,23 +475,17 @@ def subgroup_conjugacy_classes(
     parent = subs[0].parent
     for s in subs:
         _require_same_parent(s, subs[0])
+    conj = parent.conj_table()
     if acting is not None:
         _require_same_parent(acting, subs[0])
-    actors = acting._arr if acting is not None else np.arange(parent.order, dtype=np.int32)
-    conj = parent.conj_table()
+        conj = conj[acting._arr]
     by_mask = {s.mask: i for i, s in enumerate(subs)}
     assigned = [False] * len(subs)
     orbits: list[list[int]] = []
     for i, s in enumerate(subs):
         if assigned[i]:
             continue
-        images = np.sort(conj[np.ix_(actors, s._arr)], axis=1)
-        orbit_positions = set()
-        for row in np.unique(images, axis=0):
-            pos = by_mask.get(_mask_of(row))
-            if pos is not None:
-                orbit_positions.add(pos)
-        orbit = sorted(orbit_positions)
+        orbit = sorted(by_mask[m] for m in subgroup_orbit(conj, s._arr) if m in by_mask)
         for p in orbit:
             assigned[p] = True
         orbits.append(orbit)

@@ -65,7 +65,7 @@ class CoprimeDecomposition:
     beta: int
 
 
-def _preimage(parent: FiniteGroup, to_coset: np.ndarray, coset_arr: np.ndarray) -> np.ndarray:
+def _preimage(to_coset: np.ndarray, coset_arr: np.ndarray) -> np.ndarray:
     keep = np.isin(to_coset, coset_arr)
     return np.flatnonzero(keep).astype(np.int32)
 
@@ -93,7 +93,7 @@ def _chain_members(group: FiniteGroup, p: int, lam: int) -> list[np.ndarray]:
     span_in_cent = SubgroupSet._unchecked(cent_grp, np.sort(pos[span._arr]).astype(np.int32))
     quot = quotient(cent_grp, span_in_cent)
     rest = _chain_members(quot.group, p, lam - 1)
-    lifted = [emb[_preimage(cent_grp, quot.to_coset, arr)] for arr in rest]
+    lifted = [emb[_preimage(quot.to_coset, arr)] for arr in rest]
     return [span._arr] + [np.sort(arr).astype(np.int32) for arr in lifted]
 
 
@@ -130,13 +130,12 @@ def chief_series(pgroup: FiniteGroup) -> ChiefSeries:
     lam = valuation(pgroup.order, p)
     if lam == 1:
         return ChiefSeries(series=())
-    central = (pgroup.table == pgroup.table.T).all(axis=1)
-    candidates = np.flatnonzero(central & (pgroup.elem_order == p))
+    candidates = np.flatnonzero(pgroup.central_mask() & (pgroup.elem_order == p))
     first = cyclic_subgroup(pgroup, int(candidates[0]))
     quot = quotient(pgroup, first)
     rest = chief_series(quot.group).series
     lifted = [
-        SubgroupSet._unchecked(pgroup, _preimage(pgroup, quot.to_coset, term._arr))
+        SubgroupSet._unchecked(pgroup, _preimage(quot.to_coset, term._arr))
         for term in rest
     ]
     return ChiefSeries(series=(first, *lifted))
@@ -158,7 +157,7 @@ def central_element_of_order_p(pgroup: FiniteGroup, n: SubgroupSet) -> ElementIn
         raise TrivialSubgroup("need a nontrivial normal subgroup")
     if not is_normal(n):
         raise NotNormal("subgroup is not normal in the parent")
-    central = (pgroup.table == pgroup.table.T).all(axis=1)
+    central = pgroup.central_mask()
     for x in n._arr:
         x = int(x)
         if x != 0 and central[x]:

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, caps env, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -157,9 +158,37 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         theorem_id="S4.I", group="cyclic:2", params={}, counted=0,
         relation="forced failure", passed=False,
     )
-    monkeypatch.setattr(cli, "theorem_suite", lambda group, caps: [bogus])
+    monkeypatch.setattr(cli, "theorem_suite", lambda group, caps, selected: [bogus])
     code, out, _ = run_cli(capsys, "verify", "cyclic:2")
     assert code == 1 and out.startswith("FAIL")
+
+
+def test_broken_invariant_exits_3(monkeypatch, capsys):
+    def broken(group, caps, selected):
+        raise RuntimeError("normalizer sizes fail Lagrange")
+
+    monkeypatch.setattr(cli, "theorem_suite", broken)
+    code, out, err = run_cli(capsys, "verify", "cyclic:2")
+    assert code == 3 and out == ""
+    assert err == "error: internal invariant broken: normalizer sizes fail Lagrange\n"
+
+
+def test_table_above_cap_exits_2(monkeypatch, capsys, tmp_path):
+    """A non-associative 5-element loop above the construction cap is refused, not run."""
+    path = tmp_path / "loop5.txt"
+    path.write_text("0 1 2 3 4\n1 4 0 2 3\n2 3 1 4 0\n3 0 4 1 2\n4 2 3 0 1\n")
+    monkeypatch.setenv(ENV_CAPS, "4,,")
+    code, out, err = run_cli(capsys, "verify", f"table:@{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "cap 4" in err
+
+
+def test_verify_catalog_24_json_digest(capsys):
+    """The report stream is pinned: a refactor of the suite must not change one byte."""
+    code, out, _ = run_cli(capsys, "verify", "--catalog", "24", "--json")
+    assert code == 0 and out.count("\n") == 2644
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "80896d86be7879aa08970e07a3a30498bc0dd8157074ad69c1d7a9fcfe8215b7"
 
 
 def test_caps_env_override(monkeypatch, capsys):

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from sylowlab.catalog import build, standard_catalog
+from sylowlab.cli import _theorem_filter
 from sylowlab.config import Caps
 from sylowlab.counting import (
     classify_kinds,
@@ -362,7 +363,29 @@ def test_theorem_suite_skips_lattice_checks_above_cap():
 
 
 def test_headline_sweep_uses_divisors_above_limit():
-    group = build("cyclic:6")
-    few = theorem_suite(group, full_sweep_limit=1)
-    gcd_reports = [r for r in few if r.theorem_id == "intro.gcd"]
-    assert [r.params["n"] for r in gcd_reports] == [1, 2, 3, 6]
+    group = build("cyclic:65")
+    gcd_reports = [r for r in theorem_suite(group) if r.theorem_id == "intro.gcd"]
+    assert [r.params["n"] for r in gcd_reports] == [1, 5, 13, 65]
+
+
+@pytest.fixture(scope="module")
+def full_suite24():
+    return {name: theorem_suite(group) for name, group in standard_catalog(24)}
+
+
+@pytest.mark.parametrize("raw", ["S4.I", "S5", "intro", "intro.gcd,S2.IV", "nosuch"])
+def test_filtered_suite_equals_filtered_full_suite(raw, full_suite24):
+    selected = _theorem_filter(raw)
+    for name, group in standard_catalog(24):  # fresh groups: nothing cached by the full run
+        filtered = [r.json_line() for r in theorem_suite(group, selected=selected)]
+        full = [r.json_line() for r in full_suite24[name] if selected(r.theorem_id)]
+        assert filtered == full, name
+
+
+def test_lattice_free_selection_skips_lattice_and_automorphisms():
+    group = build("sym:4")
+    reports = theorem_suite(group, selected=_theorem_filter("intro.gcd,intro.pcount,S2.IV"))
+    assert {r.theorem_id for r in reports} == {"intro.gcd", "intro.pcount", "S2.IV"}
+    assert "subgroups" not in group._cache and "automorphisms" not in group._cache
+    theorem_suite(group, selected=_theorem_filter("S4.I"))
+    assert "subgroups" in group._cache

@@ -129,6 +129,20 @@ def test_table_associativity_violation_rejected():
     assert err.value.axiom in ("associativity", "inverse")
 
 
+# A 5-element loop: a Latin square with identity 0 that is not associative.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 4, 0, 2, 3], [2, 3, 1, 4, 0], [3, 0, 4, 1, 2], [4, 2, 3, 0, 1]]
+
+
+def test_table_above_construction_cap_rejected():
+    with pytest.raises(ClosureExceedsCap):
+        group_from_table(LOOP5, cap=4)
+    with pytest.raises(ClosureExceedsCap):
+        group_from_table(cyclic_table(5), cap=4)
+    with pytest.raises(NotAGroup) as err:
+        group_from_table(LOOP5)
+    assert err.value.axiom == "associativity"
+
+
 def test_malformed_tables_rejected():
     with pytest.raises(ValueError):
         group_from_table([[0, 1]])
