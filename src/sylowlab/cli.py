@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import build, parse_spec, render, standard_catalog
 from .config import Caps, caps_from_env
-from .counting import _members_str, theorem_suite
+from .counting import _SUITE, _members_str, theorem_suite
 from .errors import SylowLabError
 from .groups import FiniteGroup
 from .subgroups import (
@@ -103,11 +103,27 @@ def _cmd_decompose(args, caps: Caps) -> int:
     return 0
 
 
+def _listed_ids(raw: str) -> set[str]:
+    return {part.strip() for part in raw.split(",") if part.strip()}
+
+
+def _require_known_ids(raw: str | None) -> None:
+    """Reject a --theorems list that is empty or has an item naming no check."""
+    if raw is None:
+        return
+    wanted = _listed_ids(raw)
+    known = {check.theorem_id for check in _SUITE}
+    known |= {tid.split(".")[0] for tid in known}
+    unknown = sorted(wanted - known) if wanted else [repr(raw)]
+    if unknown:
+        raise ValueError(f"unknown theorem id(s): {', '.join(unknown)}")
+
+
 def _theorem_filter(raw: str | None):
     """Predicate on theorem ids: an exact id or a section prefix; None selects all."""
     if raw is None:
         return None
-    wanted = {part.strip() for part in raw.split(",") if part.strip()}
+    wanted = _listed_ids(raw)
 
     def selected(theorem_id: str) -> bool:
         return theorem_id in wanted or theorem_id.split(".")[0] in wanted
@@ -122,12 +138,13 @@ def _cmd_verify(args, caps: Caps) -> int:
     if args.catalog is None and args.group is None:
         print("error: verify needs a group spec or --catalog", file=sys.stderr)
         return 2
+    _require_known_ids(args.theorems)
+    selected = _theorem_filter(args.theorems)
     if args.catalog is not None:
         groups = standard_catalog(args.catalog, caps.construction)
     else:
         spec = parse_spec(args.group)
         groups = [(render(spec), build(spec, cap=caps.construction))]
-    selected = _theorem_filter(args.theorems)
     failed = False
     for _, group in groups:
         for report in theorem_suite(group, caps, selected):

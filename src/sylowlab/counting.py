@@ -389,18 +389,14 @@ def count_normal_within(
     p: int,
     kappa: int,
     caps: Caps = DEFAULT_CAPS,
-    relaxed: bool = False,
 ) -> VerificationReport:
     """Order-p^kappa subgroups of a normal subgroup that are normal in the whole group number 1 mod p.
 
-    Stated for a p-group ambient. relaxed=True admits any ambient whose
-    order p^lambda part covers p^kappa and counts the first-kind subgroups
-    inside the normal subgroup instead (the two notions coincide when the
-    ambient is a p-group).
+    Stated for a p-group ambient.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if not relaxed and prime_power_base(pgroup.order) != p:
+    if prime_power_base(pgroup.order) != p:
         raise NotAPGroup(f"ambient order {pgroup.order} is not a power of {p}")
     if normal_sub.parent is not pgroup:
         raise ParentMismatch("subgroup does not belong to the given group")
@@ -410,15 +406,10 @@ def count_normal_within(
         raise PrimePowerDoesNotDivideOrder(
             f"{p}^{kappa} does not divide the subgroup order {normal_sub.size}"
         )
-    if relaxed:
-        lam = valuation(pgroup.order, p)
-        qualifies = lambda b: valuation(normalizer(b).size, p) >= lam
-    else:
-        qualifies = is_normal
     counted = sum(
         1
         for b in subgroups_of_order(pgroup, p**kappa, caps.subgroups)
-        if normal_sub.contains_subgroup(b) and qualifies(b)
+        if normal_sub.contains_subgroup(b) and is_normal(b)
     )
     return VerificationReport(
         theorem_id="S5.II",

@@ -492,23 +492,17 @@ def subgroup_conjugacy_classes(
     return orbits
 
 
-def _generating_sequence(group: FiniteGroup) -> list[int]:
-    """Greedy smallest-index generator chain covering the whole group."""
-    gens: list[int] = []
-    current = np.zeros(1, dtype=np.int32)
-    present = np.zeros(group.order, dtype=bool)
-    present[0] = True
-    while current.size < group.order:
-        g = int(np.argmin(present))
-        gens.append(g)
-        current = _extend_subgroup(group, current, np.array([g], dtype=np.int32))
-        present[:] = False
-        present[current] = True
-    return gens
+def automorphisms(group: FiniteGroup, cap: int | None = None) -> np.ndarray:
+    """All product-preserving element bijections, one row per automorphism.
 
-
-def automorphisms(group: FiniteGroup, cap: int | None = None) -> list[tuple[int, ...]]:
-    """All product-preserving element bijections, by generator-image backtracking."""
+    Generator-image search (Cannon and Holt, J. Symb. Comput. 35, 2003),
+    run one generator at a time over every partial map at once. The
+    subgroup H grows by its smallest missing index g; each surviving map
+    on H is extended by every same-order image of g outside phi(H), then
+    along a breadth-first tree of <H, g>. A row survives if it respects
+    every generator edge and has trivial kernel. The result is a cached,
+    read-only (n_aut, order) int32 array in ascending lexicographic order.
+    """
     cap = DEFAULT_CAPS.automorphisms if cap is None else cap
     if group.order > cap:
         raise EnumerationCapExceeded(
@@ -516,73 +510,47 @@ def automorphisms(group: FiniteGroup, cap: int | None = None) -> list[tuple[int,
         )
     cached = group._cache.get("automorphisms")
     if cached is not None:
-        return list(cached)
-    h = group.order
-    if h == 1:
-        result = [(0,)]
-        group._cache["automorphisms"] = result
-        return list(result)
-    gens = _generating_sequence(group)
-    table = group.table
-    orders = group.elem_order
-    candidates = [np.flatnonzero(orders == orders[g]).astype(np.int32) for g in gens]
-
-    found: list[tuple[int, ...]] = []
-
-    def extend(phi: np.ndarray, used: int, level: int) -> int | None:
-        """Propagate phi over the next closure layer; None on conflict."""
-        done = np.zeros(h, dtype=bool)
-        done[0] = True
-        queue = deque([0])
-        gen_idx = gens[: level + 1]
-        while queue:
-            x = queue.popleft()
-            for g in gen_idx:
-                z = int(table[x, g])
-                pz = int(table[phi[x], phi[g]])
-                if phi[z] == -1:
-                    if (used >> pz) & 1:
-                        return None
-                    phi[z] = pz
-                    used |= 1 << pz
-                elif phi[z] != pz:
-                    return None
-                if not done[z]:
-                    done[z] = True
-                    queue.append(z)
-        return used
-
-    def search(level: int, phi: np.ndarray, used: int) -> None:
-        if level == len(gens):
-            found.append(tuple(int(v) for v in phi))
-            return
-        g = gens[level]
-        for y in candidates[level]:
-            y = int(y)
-            if (used >> y) & 1:
-                continue
-            phi2 = phi.copy()
-            phi2[g] = y
-            used2 = extend(phi2, used | (1 << y), level)
-            if used2 is not None:
-                search(level + 1, phi2, used2)
-
-    phi0 = np.full(h, -1, dtype=np.int32)
-    phi0[0] = 0
-    search(0, phi0, 1)
-    found.sort()
-    group._cache["automorphisms"] = found
-    return list(found)
+        return cached
+    h, orders = group.order, group.elem_order
+    table = group.table.astype(np.min_scalar_type(h - 1))  # smallest dtype: small row temporaries
+    maps = np.zeros((1, h), dtype=table.dtype)
+    inside = np.zeros(h, dtype=bool)
+    inside[0] = True
+    gens: list[int] = []
+    while not inside.all():
+        g = int(np.argmin(inside))
+        gens.append(g)
+        members = np.flatnonzero(inside)
+        free = np.ones((len(maps), h), dtype=bool)
+        free[np.arange(len(maps))[:, None], maps[:, members]] = False
+        cands = np.flatnonzero(orders == orders[g])
+        rows, picks = np.nonzero(free[:, cands])
+        maps = maps[rows]
+        maps[:, g] = cands[picks]
+        inside[g] = True
+        frontier = np.flatnonzero(inside)
+        while frontier.size:
+            prods = table[np.ix_(frontier, gens)].ravel()
+            new, first = np.unique(prods, return_index=True)
+            keep = ~inside[new]
+            new, first = new[keep], first[keep]
+            inside[new] = True
+            src, via = frontier[first // len(gens)], np.asarray(gens)[first % len(gens)]
+            maps[:, new] = table[maps[:, src], maps[:, via]]
+            frontier = new
+        sub = np.flatnonzero(inside)
+        for x in gens:
+            maps = maps[(maps[:, table[sub, x]] == table[maps[:, sub], maps[:, [x]]]).all(axis=1)]
+        maps = maps[(maps[:, sub[1:]] != 0).all(axis=1)]
+    maps = maps[np.lexsort(maps.T[::-1])].astype(np.int32)
+    maps.flags.writeable = False
+    group._cache["automorphisms"] = maps
+    return maps
 
 
 def is_characteristic(a: SubgroupSet, cap: int | None = None) -> bool:
     """True iff every automorphism of the parent maps A onto itself."""
-    target = a.members
-    for phi in automorphisms(a.parent, cap):
-        image = tuple(sorted(phi[i] for i in a._arr))
-        if image != target:
-            return False
-    return True
+    return bool(_inside(a)[automorphisms(a.parent, cap)[:, a._arr]].all())
 
 
 def is_cyclic(group: FiniteGroup) -> bool:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: plain Python loops over the raw
 multiplication table, no reuse of the engine's closure or lattice code.
-The one exception is subgroups_by_layered_extension, the engine's former
-lattice enumerator, kept as the reference for the one that replaced it.
+The exceptions are subgroups_by_layered_extension and
+automorphisms_by_backtracking, the engine's former lattice enumerator and
+automorphism search, kept as references for the code that replaced them.
 """
 
 from __future__ import annotations
@@ -92,6 +93,83 @@ def subgroups_by_layered_extension(group) -> list[tuple[int, ...]]:
                     work.append((kmask, karr))
     members = (tuple(int(i) for i in arr) for arr in found.values())
     return sorted(members, key=lambda m: (len(m), m))
+
+
+def _generating_sequence(group) -> list[int]:
+    """Greedy smallest-index generator chain covering the whole group."""
+    gens: list[int] = []
+    current = np.zeros(1, dtype=np.int32)
+    present = np.zeros(group.order, dtype=bool)
+    present[0] = True
+    while current.size < group.order:
+        g = int(np.argmin(present))
+        gens.append(g)
+        current = _extend_subgroup(group, current, np.array([g], dtype=np.int32))
+        present[:] = False
+        present[current] = True
+    return gens
+
+
+def automorphisms_by_backtracking(group) -> list[tuple[int, ...]]:
+    """All automorphisms as sorted tuples, by recursive generator-image backtracking.
+
+    The engine's former automorphism search, one partial map at a time,
+    kept as the reference for the array search that replaced it. It reuses
+    _extend_subgroup only to pick the generator chain.
+    """
+    h = group.order
+    if h == 1:
+        return [(0,)]
+    gens = _generating_sequence(group)
+    table = group.table
+    orders = group.elem_order
+    candidates = [np.flatnonzero(orders == orders[g]).astype(np.int32) for g in gens]
+
+    found: list[tuple[int, ...]] = []
+
+    def extend(phi: np.ndarray, used: int, level: int) -> int | None:
+        """Propagate phi over the next closure layer; None on conflict."""
+        done = np.zeros(h, dtype=bool)
+        done[0] = True
+        queue = deque([0])
+        gen_idx = gens[: level + 1]
+        while queue:
+            x = queue.popleft()
+            for g in gen_idx:
+                z = int(table[x, g])
+                pz = int(table[phi[x], phi[g]])
+                if phi[z] == -1:
+                    if (used >> pz) & 1:
+                        return None
+                    phi[z] = pz
+                    used |= 1 << pz
+                elif phi[z] != pz:
+                    return None
+                if not done[z]:
+                    done[z] = True
+                    queue.append(z)
+        return used
+
+    def search(level: int, phi: np.ndarray, used: int) -> None:
+        if level == len(gens):
+            found.append(tuple(int(v) for v in phi))
+            return
+        g = gens[level]
+        for y in candidates[level]:
+            y = int(y)
+            if (used >> y) & 1:
+                continue
+            phi2 = phi.copy()
+            phi2[g] = y
+            used2 = extend(phi2, used | (1 << y), level)
+            if used2 is not None:
+                search(level + 1, phi2, used2)
+
+    phi0 = np.full(h, -1, dtype=np.int32)
+    phi0[0] = 0
+    search(0, phi0, 1)
+    found.sort()
+    return found
 
 
 def conjugacy_partition(group) -> list[frozenset[int]]:

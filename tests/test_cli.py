@@ -146,6 +146,14 @@ def test_verify_theorem_filter(capsys):
     assert ids and all(i.startswith("S5.") for i in ids)
 
 
+@pytest.mark.parametrize("selection", ["S4.l", ","])
+def test_verify_unknown_theorem_ids_exit_2(capsys, selection):
+    code, out, err = run_cli(capsys, "verify", "sym:3", "--theorems", selection)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown theorem id(s): ") and err.count("\n") == 1
+
+
 def test_verify_catalog_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--catalog", "12", "--json")
     code2, out2, _ = run_cli(capsys, "verify", "--catalog", "12", "--json")

@@ -253,7 +253,7 @@ def test_count_normal_within_spot_values():
     assert rep.counted == 4 and rep.passed
 
 
-def test_count_normal_within_errors_and_relaxed_mode():
+def test_count_normal_within_errors():
     d8 = build("dihedral:8")
     with pytest.raises(NotNormal):
         count_normal_within(d8, generated_subgroup(d8, [4]), 2, 1)
@@ -261,8 +261,6 @@ def test_count_normal_within_errors_and_relaxed_mode():
     v4 = next(s for s in subgroups_of_order(s4, 4) if is_normal(s))
     with pytest.raises(NotAPGroup):
         count_normal_within(s4, v4, 2, 1)
-    relaxed = count_normal_within(s4, v4, 2, 1, relaxed=True)
-    assert relaxed.counted == 3 and relaxed.passed
     with pytest.raises(PrimePowerDoesNotDivideOrder):
         count_normal_within(d8, generated_subgroup(d8, [2]), 2, 2)
 

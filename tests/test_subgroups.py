@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sylowlab.catalog import build, standard_catalog
-from sylowlab.errors import EnumerationCapExceeded, NotNormal, ParentMismatch
-from sylowlab.groups import element_order
+from sylowlab.errors import ClosureExceedsCap, EnumerationCapExceeded, NotNormal, ParentMismatch
+from sylowlab.groups import Permutation, element_order, group_from_generators
 from sylowlab.subgroups import (
     ComplexSet,
     SubgroupSet,
@@ -33,6 +35,7 @@ from sylowlab.subgroups import (
 )
 
 from oracles import (
+    automorphisms_by_backtracking,
     brute_closure,
     conjugacy_partition,
     is_hom_bijection,
@@ -299,11 +302,43 @@ def test_automorphisms_are_honest_and_capped():
     group = build("dihedral:8")
     autos = automorphisms(group)
     assert len(autos) == 8
-    assert len(set(autos)) == len(autos)
+    assert len({tuple(r) for r in autos}) == len(autos)
     for phi in autos:
         assert is_hom_bijection(group, phi)
     with pytest.raises(EnumerationCapExceeded):
         automorphisms(build("cyclic:25"))
+
+
+@pytest.mark.parametrize("group", [g for _, g in standard_catalog(24)], ids=lambda g: g.label)
+def test_automorphisms_match_backtracking_oracle(group):
+    """Row for row on the catalog up to 24, which includes prod(cyclic:2,q8)."""
+    autos = automorphisms(group)
+    assert autos.dtype == np.int32 and autos.shape[1] == group.order
+    assert [tuple(int(v) for v in row) for row in autos] == automorphisms_by_backtracking(group)
+    assert automorphisms(group) is autos
+    assert not autos.flags.writeable
+    with pytest.raises(ValueError):
+        autos[0, 0] = 1
+
+
+permutations_up_to_6 = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=2)
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(permutations_up_to_6)
+def test_random_permutation_groups_match_oracles(images):
+    try:
+        group = group_from_generators([Permutation(p) for p in images], cap=24)
+    except ClosureExceedsCap:
+        assume(False)
+    autos = automorphisms(group)
+    assert [tuple(int(v) for v in row) for row in autos] == automorphisms_by_backtracking(group)
+    for row in autos:
+        assert is_hom_bijection(group, row)
+    if group.order <= 12:
+        assert {frozenset(s.members) for s in all_subgroups(group)} == subgroups_by_subsets(group)
 
 
 def test_is_characteristic():
