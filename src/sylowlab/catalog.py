@@ -356,6 +356,8 @@ def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:
         return _build_prod(build(args[0], cap), build(args[1], cap), label, cap)
     if kind == "perm":
         degree = max((pt for gen in args for cyc in gen for pt in cyc), default=1)
+        if degree > cap:
+            raise ClosureExceedsCap(f"permutation degree {degree} exceeds construction cap {cap}")
         gens = [_cycles_to_permutation(gen, degree) for gen in args]
         return group_from_generators(gens, cap=cap, label=label)
     if kind == "table":

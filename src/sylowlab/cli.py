@@ -138,6 +138,9 @@ def _cmd_verify(args, caps: Caps) -> int:
     if args.catalog is None and args.group is None:
         print("error: verify needs a group spec or --catalog", file=sys.stderr)
         return 2
+    if args.catalog is not None and args.catalog < 1:
+        print(f"error: --catalog needs a positive order, got {args.catalog}", file=sys.stderr)
+        return 2
     _require_known_ids(args.theorems)
     selected = _theorem_filter(args.theorems)
     if args.catalog is not None:

@@ -32,7 +32,6 @@ from .numtheory import divisors, is_prime, prime_factorization, prime_power_base
 from .subgroups import (
     ComplexSet,
     SubgroupSet,
-    _mask_of,
     all_subgroups,
     closure_of,
     is_characteristic,
@@ -156,6 +155,15 @@ def verify_order_p_form(group: FiniteGroup, p: int) -> VerificationReport:
     )
 
 
+def _solution_closure(group: FiniteGroup, n: int) -> SubgroupSet:
+    """Closure of the solutions of x^n = identity, computed once per (group, n)."""
+    key = ("solution_closure", n)
+    cached = group._cache.get(key)
+    if cached is None:
+        cached = group._cache[key] = closure_of(ComplexSet(group, _solutions(group, n)))
+    return cached
+
+
 def solution_subgroup(group: FiniteGroup, n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     """Solutions of x^n = identity generate a characteristic subgroup of order divisible by n.
 
@@ -165,7 +173,7 @@ def solution_subgroup(group: FiniteGroup, n: int, caps: Caps = DEFAULT_CAPS) -> 
     """
     if group.order % n != 0:
         raise ValueError(f"n={n} must divide the group order {group.order}")
-    generated = closure_of(ComplexSet(group, _solutions(group, n)))
+    generated = _solution_closure(group, n)
     size_ok = generated.size % n == 0
     if group.order <= caps.automorphisms:
         char_ok = is_characteristic(generated, caps.automorphisms)
@@ -197,21 +205,19 @@ def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSe
     group = r_set.parent
     table = group.table
     base = r_set._arr
-    seq = [base]
-    seen = {int(r_set.mask): 1}
-    rr = ss = 0
-    power_arr = base
-    k = 2
-    while True:
-        power_arr = np.unique(table[np.ix_(power_arr, base)])
-        mask = _mask_of(power_arr)
-        if mask in seen:
-            rr = seen[mask]
-            ss = k - rr
-            break
-        seen[mask] = k
-        seq.append(power_arr)
+    present = np.zeros(group.order, dtype=bool)
+    present[base] = True
+    seq: list[np.ndarray] = []
+    seen: dict[bytes, int] = {}
+    k = 1
+    while (key := present.tobytes()) not in seen:  # present holds R^k
+        seen[key] = k
+        seq.append(np.flatnonzero(present))
+        present = np.zeros(group.order, dtype=bool)
+        present[table[np.ix_(seq[-1], base)]] = True
         k += 1
+    rr = seen[key]
+    ss = k - rr
     t = ((rr + ss - 1) // ss) * ss  # the multiple of s in [r, r+s)
     stabilized = SubgroupSet(group, seq[t - 1], check=True)
     if 0 in r_set:
@@ -228,7 +234,7 @@ def power_stabilization_check(group: FiniteGroup, n: int) -> VerificationReport:
         raise ValueError(f"n={n} must divide the group order {group.order}")
     sols = ComplexSet(group, _solutions(group, n))
     rr, ss, stabilized = complex_power_stabilization(sols)
-    expected = closure_of(sols)
+    expected = _solution_closure(group, n)
     passed = ss == 1 and stabilized == expected and stabilized.size % n == 0
     return VerificationReport(
         theorem_id="S2.power",

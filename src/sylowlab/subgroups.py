@@ -151,7 +151,19 @@ def _require_same_parent(a, b) -> None:
 def _extend_subgroup(
     group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarray, gen_closed: bool = False
 ) -> np.ndarray:
-    """Closure of an already-closed subgroup plus extra generators.
+    """Closure of an already-closed subgroup H plus extra generators.
+
+    Dimino-style growth by one irredundant generator at a time (Butler,
+    Fundamental Algorithms for Permutation Groups, 1991; Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, 4.1). The right
+    multipliers start as H's non-identity members. For each generator g
+    not yet inside, g, g^2, g^4, ... join the multipliers (up to the
+    identity or a repeat, so a cyclic piece of order m takes about log2 m
+    levels), and the members are closed under right multiplication by
+    the multipliers, one breadth-first level at a time, each level
+    filtered through the boolean membership vector. This gives <H, g>:
+    the identity is in H, and in a finite group g^-1 is a positive power
+    of g, so products of multipliers reach every element.
 
     gen_closed says the generators are themselves a subgroup K; in an
     abelian group the result is then the product HK.
@@ -159,24 +171,28 @@ def _extend_subgroup(
     table = group.table
     present = np.zeros(group.order, dtype=bool)
     present[sub_arr] = True
-    frontier = gen_arr[~present[gen_arr]]
-    if frontier.size == 0:
+    if present[gen_arr].all():
         return sub_arr
     if gen_closed and group.is_abelian():
         return np.unique(table[np.ix_(sub_arr, gen_arr)]).astype(np.int32)
-    present[frontier] = True
-    members = np.flatnonzero(present).astype(np.int32)
-    while frontier.size:
-        prods = np.concatenate(
-            (table[np.ix_(frontier, members)].ravel(), table[np.ix_(members, frontier)].ravel())
-        )
-        new = np.unique(prods)
-        new = new[~present[new]]
-        if new.size == 0:
-            break
-        present[new] = True
+    multipliers = sub_arr[sub_arr != 0]
+    members = sub_arr
+    for g in gen_arr:
+        if present[g]:
+            continue
+        powers = [int(g)]
+        square = int(table[g, g])
+        while square != 0 and square not in powers:
+            powers.append(square)
+            square = int(table[square, square])
+        multipliers = np.concatenate((multipliers, powers))
+        prods = table[np.ix_(members, powers)].ravel()
+        frontier = np.unique(prods[~present[prods]])
+        while frontier.size:
+            present[frontier] = True
+            prods = table[np.ix_(frontier, multipliers)].ravel()
+            frontier = np.unique(prods[~present[prods]])
         members = np.flatnonzero(present).astype(np.int32)
-        frontier = new.astype(np.int32)
     return members
 
 

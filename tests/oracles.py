@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: plain Python loops over the raw
 multiplication table, no reuse of the engine's closure or lattice code.
-The exceptions are subgroups_by_layered_extension and
-automorphisms_by_backtracking, the engine's former lattice enumerator and
-automorphism search, kept as references for the code that replaced them.
+The exceptions are closure_by_products, subgroups_by_layered_extension and
+automorphisms_by_backtracking, the engine's former closure, lattice
+enumerator and automorphism search, kept as references for the code that
+replaced them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from sylowlab.subgroups import _extend_subgroup, _mask_of, _prime_power_cyclics
+from sylowlab.subgroups import _mask_of, _prime_power_cyclics
 
 
 def brute_closure(group, seed) -> frozenset[int]:
@@ -30,6 +31,38 @@ def brute_closure(group, seed) -> frozenset[int]:
                     members.add(c)
                     changed = True
     return frozenset(members)
+
+
+def closure_by_products(group, sub_arr, gen_arr, gen_closed=False) -> np.ndarray:
+    """Closure of a closed subgroup plus generators, as a sorted member array.
+
+    The engine's former closure: each level multiplies the new elements by
+    every member on both sides and deduplicates the products with
+    np.unique, so it is quadratic in the subgroup order. gen_closed says
+    the generators are a subgroup K; in an abelian group the result is HK.
+    """
+    table = group.table
+    present = np.zeros(group.order, dtype=bool)
+    present[sub_arr] = True
+    frontier = gen_arr[~present[gen_arr]]
+    if frontier.size == 0:
+        return sub_arr
+    if gen_closed and group.is_abelian():
+        return np.unique(table[np.ix_(sub_arr, gen_arr)]).astype(np.int32)
+    present[frontier] = True
+    members = np.flatnonzero(present).astype(np.int32)
+    while frontier.size:
+        prods = np.concatenate(
+            (table[np.ix_(frontier, members)].ravel(), table[np.ix_(members, frontier)].ravel())
+        )
+        new = np.unique(prods)
+        new = new[~present[new]]
+        if new.size == 0:
+            break
+        present[new] = True
+        members = np.flatnonzero(present).astype(np.int32)
+        frontier = new.astype(np.int32)
+    return members
 
 
 def is_subgroup_subset(group, subset) -> bool:
@@ -71,10 +104,10 @@ def subgroups_by_layered_extension(group) -> list[tuple[int, ...]]:
     """Member tuples of every subgroup, sorted by (order, members).
 
     Extends every subgroup found, not one per conjugacy class, by every
-    cyclic prime-power subgroup not yet inside it. It reuses the engine's
-    _extend_subgroup for the closure and _prime_power_cyclics for the
-    candidates, so it checks the class-representative bookkeeping of
-    all_subgroups, not the closure itself.
+    cyclic prime-power subgroup not yet inside it, closing with
+    closure_by_products. It reuses the engine's _prime_power_cyclics for
+    the candidates, so it checks the class-representative bookkeeping and
+    the closure of all_subgroups, not the candidate list.
     """
     trivial = np.zeros(1, dtype=np.int32)
     found = {1: trivial}
@@ -85,7 +118,7 @@ def subgroups_by_layered_extension(group) -> list[tuple[int, ...]]:
         for _, carr, cmask in candidates:
             if cmask & hmask == cmask:
                 continue
-            karr = _extend_subgroup(group, harr, carr, gen_closed=True)
+            karr = closure_by_products(group, harr, carr, gen_closed=True)
             kmask = _mask_of(karr)
             if kmask not in found:
                 found[kmask] = karr
@@ -104,7 +137,7 @@ def _generating_sequence(group) -> list[int]:
     while current.size < group.order:
         g = int(np.argmin(present))
         gens.append(g)
-        current = _extend_subgroup(group, current, np.array([g], dtype=np.int32))
+        current = closure_by_products(group, current, np.array([g], dtype=np.int32))
         present[:] = False
         present[current] = True
     return gens
@@ -114,8 +147,8 @@ def automorphisms_by_backtracking(group) -> list[tuple[int, ...]]:
     """All automorphisms as sorted tuples, by recursive generator-image backtracking.
 
     The engine's former automorphism search, one partial map at a time,
-    kept as the reference for the array search that replaced it. It reuses
-    _extend_subgroup only to pick the generator chain.
+    kept as the reference for the array search that replaced it. It picks
+    the generator chain with closure_by_products.
     """
     h = group.order
     if h == 1:

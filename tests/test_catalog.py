@@ -107,6 +107,9 @@ def test_build_respects_construction_cap():
         build("cyclic:30", cap=24)
     with pytest.raises(ClosureExceedsCap):
         build("sym:5", cap=100)
+    with pytest.raises(ClosureExceedsCap):
+        build("perm:(1 2)(3 30)", cap=24)
+    assert build("perm:(1 2)(3 24)", cap=24).order == 2
 
 
 def test_cyclic_indexing_is_modular_addition():

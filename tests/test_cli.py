@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,21 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and err != ""
     code, _, err = run_cli(capsys, "verify", "sym:3", "--catalog", "8")
     assert code == 2 and err != ""
+
+
+@pytest.mark.parametrize("max_order", ["0", "-5"])
+def test_verify_empty_catalog_exits_2(capsys, max_order):
+    code, out, err = run_cli(capsys, "verify", "--catalog", max_order)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_permutation_degree_above_cap_exits_2_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "info", "perm:(1 1000000)")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == "error: permutation degree 1000000 exceeds construction cap 512\n"
 
 
 def test_verify_json_lines_schema(capsys):

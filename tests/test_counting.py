@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from sylowlab import counting
 from sylowlab.catalog import build, standard_catalog
 from sylowlab.cli import _theorem_filter
 from sylowlab.config import Caps
@@ -143,6 +144,23 @@ def test_power_stabilization_check_over_divisors():
         for n in divisors(group.order):
             report = power_stabilization_check(group, n)
             assert report.passed, report.text_line()
+
+
+def test_s2_closes_each_solution_set_twice(monkeypatch):
+    """S2.III and S2.power share one closure per n; complex_power_stabilization keeps its own."""
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return closure_of(s)
+
+    monkeypatch.setattr(counting, "closure_of", counted)
+    group = build("sym:4")
+    reports = theorem_suite(group, selected=_theorem_filter("S2"))
+    ns = [r.params["n"] for r in reports if r.theorem_id == "S2.III"]
+    assert ns == divisors(group.order)
+    assert [r.params["n"] for r in reports if r.theorem_id == "S2.power"] == ns
+    assert len(calls) == 2 * len(ns)
 
 
 def test_verify_coprime_product():

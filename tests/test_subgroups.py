@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sylowlab.catalog import build, standard_catalog
+from sylowlab.counting import _solutions
 from sylowlab.errors import ClosureExceedsCap, EnumerationCapExceeded, NotNormal, ParentMismatch
 from sylowlab.groups import Permutation, element_order, group_from_generators
+from sylowlab.numtheory import divisors
 from sylowlab.subgroups import (
     ComplexSet,
     SubgroupSet,
@@ -37,6 +39,7 @@ from sylowlab.subgroups import (
 from oracles import (
     automorphisms_by_backtracking,
     brute_closure,
+    closure_by_products,
     conjugacy_partition,
     is_hom_bijection,
     subgroups_by_layered_extension,
@@ -69,6 +72,20 @@ def test_closure_examples():
     sub = closure_of(ComplexSet(s4, seed))
     assert sub.size == 4
     assert set(sub.members) == set(brute_closure(s4, seed))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec, _ in standard_catalog(60)] + ["alt:6", "dihedral:512", "prod(q8,elab:2^6)"],
+)
+def test_closure_matches_oracles_on_solution_sets(spec):
+    group = build(spec)
+    trivial = np.zeros(1, dtype=np.int32)
+    for n in divisors(group.order):
+        sols = _solutions(group, n)
+        got = closure_of(ComplexSet(group, sols))
+        assert np.array_equal(got._arr, closure_by_products(group, trivial, sols)), n
+        assert set(got.members) == brute_closure(group, sols), n
 
 
 def test_closure_is_idempotent():
@@ -324,11 +341,12 @@ def test_automorphisms_match_backtracking_oracle(group):
 permutations_up_to_6 = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=2)
 )
+element_picks = st.lists(st.integers(min_value=0, max_value=23), min_size=1, max_size=3)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(permutations_up_to_6)
-def test_random_permutation_groups_match_oracles(images):
+@given(permutations_up_to_6, element_picks, element_picks)
+def test_random_permutation_groups_match_oracles(images, picks_a, picks_b):
     try:
         group = group_from_generators([Permutation(p) for p in images], cap=24)
     except ClosureExceedsCap:
@@ -337,6 +355,14 @@ def test_random_permutation_groups_match_oracles(images):
     assert [tuple(int(v) for v in row) for row in autos] == automorphisms_by_backtracking(group)
     for row in autos:
         assert is_hom_bijection(group, row)
+    trivial = np.zeros(1, dtype=np.int32)
+    gens_a = np.unique(np.array(picks_a, dtype=np.int32) % group.order)
+    gens_b = np.unique(np.array(picks_b, dtype=np.int32) % group.order)
+    a = generated_subgroup(group, gens_a)
+    b = generated_subgroup(group, gens_b)
+    assert np.array_equal(a._arr, closure_by_products(group, trivial, gens_a))
+    assert np.array_equal(b._arr, closure_by_products(group, trivial, gens_b))
+    assert np.array_equal(join(a, b)._arr, closure_by_products(group, a._arr, b._arr, gen_closed=True))
     if group.order <= 12:
         assert {frozenset(s.members) for s in all_subgroups(group)} == subgroups_by_subsets(group)
 
