@@ -62,6 +62,7 @@ from .subgroups import (
     join,
     normalizer,
     quotient,
+    subgroup_class_ids,
     subgroup_conjugacy_classes,
     subgroups_of_order,
     subgroups_within,

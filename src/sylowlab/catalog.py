@@ -14,6 +14,7 @@ points. Fixed points are never written.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,7 +363,9 @@ def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:
         return group_from_generators(gens, cap=cap, label=label)
     if kind == "table":
         try:
-            raw = np.loadtxt(args[0], dtype=np.int64)
+            with warnings.catch_warnings():  # an empty file warns; group_from_table rejects it
+                warnings.simplefilter("ignore", UserWarning)
+                raw = np.loadtxt(args[0], dtype=np.int64)
         except OSError as exc:
             raise ValidationError(f"cannot read table file: {exc}") from exc
         return group_from_table(np.atleast_2d(raw), cap=cap, label=label)

@@ -38,8 +38,8 @@ from .subgroups import (
     is_normal,
     is_normal_within,
     normalizer,
+    subgroup_class_ids,
     subgroup_conjugacy_classes,
-    subgroup_orbit,
     subgroups_of_order,
     subgroups_within,
 )
@@ -219,7 +219,7 @@ def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSe
     rr = seen[key]
     ss = k - rr
     t = ((rr + ss - 1) // ss) * ss  # the multiple of s in [r, r+s)
-    stabilized = SubgroupSet(group, seq[t - 1], check=True)
+    stabilized = SubgroupSet(group, seq[t - 1])
     if 0 in r_set:
         expected = closure_of(r_set)
         if ss != 1 or stabilized != expected:
@@ -438,7 +438,8 @@ def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Verifi
     h = group.order
     lam = valuation(h, p)
     top = cached_sylow_chain(group, p).top
-    conjugates = subgroup_orbit(group.conj_table(), top._arr)
+    class_ids = subgroup_class_ids(group, caps.subgroups)
+    conjugates = [mask for mask, c in class_ids.items() if c == class_ids[top.mask]]
     if len(conjugates) == 1:
         return VerificationReport(
             theorem_id="S5.7",
@@ -491,29 +492,25 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
     subgroups do under its normalizer.
     """
     _require_prime_divides(group, p)
-    h = group.order
-    lam = valuation(h, p)
-    conj = group.conj_table()
+    lam = valuation(group.order, p)
     top = cached_sylow_chain(group, p).top
     norm_top = normalizer(top)
-    conj_norm = conj[norm_top._arr]
     normals = [q for q in subgroups_within(top, caps.subgroups) if is_normal_within(q, top)]
+    class_ids = subgroup_class_ids(group, caps.subgroups)
+    local_orbits = subgroup_conjugacy_classes(normals, acting=norm_top)
+    local_ids = {normals[i].mask: c for c, orbit in enumerate(local_orbits) for i in orbit}
+    same_class: dict[int, list[SubgroupSet]] = {}
+    for q in normals:
+        same_class.setdefault(class_ids[q.mask], []).append(q)
     witnesses: list[str] = []
-    passed = True
     pairs_checked = 0
-    by_mask = {q.mask: i for i, q in enumerate(normals)}
     for q0 in normals:
-        reachable_in_norm = subgroup_orbit(conj_norm, q0._arr)
-        for mask in subgroup_orbit(conj, q0._arr):
-            if mask not in by_mask or mask == q0.mask:
-                continue
-            pairs_checked += 1
-            if mask not in reachable_in_norm:
-                passed = False
-                witnesses.append(
-                    f"pair {_members_str(q0._arr)} ~H~ {_members_str(normals[by_mask[mask]]._arr)} "
-                    "not conjugate in the Sylow normalizer"
-                )
+        others = [q1 for q1 in same_class[class_ids[q0.mask]] if q1 is not q0]
+        pairs_checked += len(others)
+        witnesses += [
+            f"pair {_members_str(q0._arr)} ~H~ {_members_str(q1._arr)} not conjugate in the Sylow normalizer"
+            for q1 in others if local_ids[q1.mask] != local_ids[q0.mask]
+        ]
     # class-count corollary, per subgroup order
     subs_all = all_subgroups(group, caps.subgroups)
     for kappa in range(1, lam + 1):
@@ -522,11 +519,9 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
             s for s in subs_all
             if s.size == size and valuation(normalizer(s).size, p) >= lam
         ]
-        h_classes = len(subgroup_conjugacy_classes(first))
-        local = [q for q in normals if q.size == size]
-        local_classes = len(subgroup_conjugacy_classes(local, acting=norm_top))
+        h_classes = len({class_ids[s.mask] for s in first})
+        local_classes = len({local_ids[q.mask] for q in normals if q.size == size})
         if h_classes != local_classes:
-            passed = False
             witnesses.append(
                 f"kappa={kappa}: {h_classes} H-classes vs {local_classes} normalizer classes"
             )
@@ -537,7 +532,7 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
         counted=pairs_checked,
         relation="every H-conjugate pair of Sylow-normal subgroups fuses in the normalizer; "
         "class counts agree",
-        passed=passed,
+        passed=not witnesses,
         witnesses=witnesses,
     )
 
@@ -548,9 +543,9 @@ def sylow_single_class(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) ->
     h = group.order
     lam = valuation(h, p)
     syl = subgroups_of_order(group, p**lam, caps.subgroups)
-    classes = subgroup_conjugacy_classes(syl)
+    class_ids = subgroup_class_ids(group, caps.subgroups)
     counted = len(syl)
-    passed = len(classes) == 1 and counted % p == 1 and h % counted == 0
+    passed = len({class_ids[s.mask] for s in syl}) == 1 and counted % p == 1 and h % counted == 0
     return VerificationReport(
         theorem_id="intro.sylow",
         group=group.label,

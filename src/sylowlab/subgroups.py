@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,10 +33,10 @@ def subgroup_orbit(conj_rows: np.ndarray, arr: np.ndarray) -> dict[int, np.ndarr
 
     conj_rows holds one conjugation-table row per acting element: pass
     conj for the whole group or conj[actors] to restrict it. Values are
-    sorted member arrays, in np.unique row order.
+    sorted member arrays, in no particular order.
     """
-    rows = np.unique(np.sort(conj_rows[:, arr], axis=1), axis=0)
-    return {_mask_of(row): row for row in rows}
+    rows = {row.tobytes(): row for row in np.sort(conj_rows[:, arr], axis=1)}
+    return {_mask_of(row): row for row in rows.values()}
 
 
 class ComplexSet:
@@ -66,26 +67,16 @@ class ComplexSet:
         return f"ComplexSet(size={self.size}, members={self.members})"
 
 
-class SubgroupSet:
+class SubgroupSet(ComplexSet):
     """Membership bitset of a subgroup of a fixed parent group."""
 
-    __slots__ = ("parent", "_arr", "mask", "size")
+    __slots__ = ()
 
-    def __init__(self, parent: FiniteGroup, members: Iterable[int], check: bool = True):
-        arr = np.unique(np.fromiter((int(m) for m in members), dtype=np.int32))
-        self.parent = parent
-        self._arr = arr
-        self.mask = _mask_of(arr)
-        self.size = int(arr.size)
-        if check:
-            self._validate()
-
-    def _validate(self) -> None:
+    def __init__(self, parent: FiniteGroup, members: Iterable[int]):
+        super().__init__(parent, members)
         if self.size == 0 or self._arr[0] != 0:
             raise ValueError("a subgroup must contain the identity (index 0)")
-        if self._arr[-1] >= self.parent.order:
-            raise ValueError("members out of range for parent group")
-        prods = self.parent.table[np.ix_(self._arr, self._arr)]
+        prods = parent.table[np.ix_(self._arr, self._arr)]
         if not _inside(self)[prods].all():
             raise ValueError("member set is not closed under the group product")
 
@@ -98,10 +89,6 @@ class SubgroupSet:
         obj.size = int(arr.size)
         return obj
 
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in self._arr)
-
     def member_array(self) -> np.ndarray:
         return self._arr.copy()
 
@@ -113,12 +100,6 @@ class SubgroupSet:
 
     def contains_subgroup(self, other: "SubgroupSet") -> bool:
         return (other.mask & ~self.mask) == 0
-
-    def __contains__(self, x: int) -> bool:
-        return bool((self.mask >> int(x)) & 1)
-
-    def __len__(self) -> int:
-        return self.size
 
     def __eq__(self, other) -> bool:
         return (
@@ -274,7 +255,8 @@ def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSe
     subgroup M and a cyclic prime-power C, and if M^t is the queued
     representative of M's class then extending it by C^t gives L^t,
     because <M, C>^t = <M^t, C^t>. In an abelian group every class is a
-    single subgroup, so the orbit step is skipped.
+    single subgroup, so the orbit step is skipped. Each added orbit is
+    recorded as one class for subgroup_class_ids.
     """
     _require_lattice_cap(group.order, cap)
     cached = group._cache.get("subgroups")
@@ -282,6 +264,7 @@ def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSe
         conj = None if group.is_abelian() else group.conj_table()
         trivial = np.zeros(1, dtype=np.int32)
         found: dict[int, np.ndarray] = {1: trivial}
+        rep_of: dict[int, int] = {1: 1}  # bitset -> bitset of its class's queued representative
         work: deque[tuple[int, np.ndarray]] = deque([(1, trivial)])
         candidates = _prime_power_cyclics(group)
         while work:
@@ -293,14 +276,30 @@ def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSe
                 kmask = _mask_of(karr)
                 if kmask in found:
                     continue
-                found.update({kmask: karr} if conj is None else subgroup_orbit(conj, karr))
+                orbit = {kmask: karr} if conj is None else subgroup_orbit(conj, karr)
+                found.update(orbit)
+                rep_of.update(dict.fromkeys(orbit, kmask))
                 if karr.size < group.order:
                     work.append((kmask, karr))
         subs = [SubgroupSet._unchecked(group, arr) for arr in found.values()]
         subs.sort(key=lambda s: (s.size, s.members))
+        first: dict[int, int] = {}
+        ids = {s.mask: first.setdefault(rep_of[s.mask], len(first)) for s in subs}
+        group._cache["subgroup_class_ids"] = MappingProxyType(ids)
         cached = subs
         group._cache["subgroups"] = cached
     return list(cached)
+
+
+def subgroup_class_ids(group: FiniteGroup, cap: int | None = None) -> Mapping[int, int]:
+    """Whole-group conjugacy class id of every subgroup, keyed by bitset.
+
+    Two subgroups are conjugate iff their ids are equal. Ids number the
+    classes 0, 1, ... by first occurrence in all_subgroups order. The
+    mapping is read-only and cached beside the lattice.
+    """
+    all_subgroups(group, cap)
+    return group._cache["subgroup_class_ids"]
 
 
 def subgroups_of_order(group: FiniteGroup, m: int, cap: int | None = None) -> list[SubgroupSet]:

@@ -15,6 +15,15 @@ from sylowlab.config import ENV_CAPS
 from sylowlab.counting import VerificationReport
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def env_with_src():
+    """The environment with this checkout's src/ first on PYTHONPATH, for subprocesses."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -104,16 +113,34 @@ def test_verify_missing_table_file_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and "missing.txt" in err
 
 
+def test_empty_table_file_gives_one_error_line(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sylowlab.cli", "info", f"table:@{empty}"],
+        capture_output=True, text=True, env=env_with_src(), timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs_standalone(demo):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, env=env_with_src(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_closed_stdout_exits_141_quietly():
     """A reader that closes the pipe early, as `| head` does, gets no traceback."""
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "sylowlab.cli", "verify", "sym:3", "--json"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, env=env_with_src(), timeout=120,
         )
     finally:
         os.close(write_end)

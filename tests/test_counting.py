@@ -301,9 +301,20 @@ def test_congruence7_not_applicable_when_sylow_normal():
 
 def test_normal_fusion_check():
     assert normal_fusion_check(build("sym:4"), 2).passed
-    assert normal_fusion_check(build("alt:4"), 2).passed
-    assert normal_fusion_check(build("alt:5"), 2).passed
+    for spec in ("alt:4", "alt:5"):  # the three order-2 subgroups of V4 are conjugate: 6 pairs
+        rep = normal_fusion_check(build(spec), 2)
+        assert rep.passed and rep.counted == 6
     assert normal_fusion_check(build("prod(sym:3,cyclic:2)"), 2).passed
+
+
+def test_normal_fusion_check_fails_without_normalizer_fusion(monkeypatch):
+    monkeypatch.setattr(
+        counting, "subgroup_conjugacy_classes", lambda subs, acting=None: [[i] for i in range(len(subs))]
+    )
+    rep = normal_fusion_check(build("alt:4"), 2)
+    assert not rep.passed and rep.counted == 6
+    pairs = [w for w in rep.witnesses if w.startswith("pair ")]
+    assert len(pairs) == 6 and all(w.endswith("not conjugate in the Sylow normalizer") for w in pairs)
 
 
 def test_sylow_single_class():
@@ -313,6 +324,14 @@ def test_sylow_single_class():
     assert rep.passed and rep.counted == 3
     rep = sylow_single_class(build("q8"), 2)
     assert rep.passed and rep.counted == 1
+
+
+def test_sylow_single_class_fails_on_split_classes(monkeypatch):
+    monkeypatch.setattr(
+        counting, "subgroup_class_ids", lambda group, cap=None: {s.mask: i for i, s in enumerate(all_subgroups(group))}
+    )
+    rep = sylow_single_class(build("sym:4"), 2)
+    assert not rep.passed and rep.counted == 3
 
 
 def test_sylow_chain_check_catalog():

@@ -29,6 +29,7 @@ from sylowlab.subgroups import (
     join,
     normalizer,
     quotient,
+    subgroup_class_ids,
     subgroup_conjugacy_classes,
     subgroups_of_order,
     subgroups_within,
@@ -147,6 +148,26 @@ def test_all_subgroups_is_closed_under_conjugation(lattice_groups):
                 assert frozenset(row.tolist()) in member_sets, (group.label, s)
 
 
+def positions_by_class_id(group):
+    """Lattice positions grouped by subgroup_class_ids, classes in id order."""
+    subs = all_subgroups(group)
+    ids = subgroup_class_ids(group)
+    assert len(ids) == len(subs)
+    by_id: dict[int, list[int]] = {}
+    for i, s in enumerate(subs):
+        by_id.setdefault(ids[s.mask], []).append(i)
+    assert list(by_id) == list(range(len(by_id)))  # numbered by first occurrence
+    return list(by_id.values())
+
+
+def test_subgroup_class_ids_match_conjugacy_classes(lattice_groups):
+    for group in lattice_groups:
+        expected = subgroup_conjugacy_classes(all_subgroups(group))
+        assert positions_by_class_id(group) == expected, group.label
+    with pytest.raises(TypeError):
+        subgroup_class_ids(lattice_groups[0])[1] = 5
+
+
 @pytest.mark.parametrize("spec", ["sym:4", "dihedral:16", "alt:5", "prod(cyclic:2,q8)", "elab:2^4"])
 def test_subgroups_within_same_with_and_without_parent_lattice(spec):
     cached = build(spec)
@@ -166,7 +187,10 @@ def test_enumeration_cap():
     big = build("elab:3^4")
     with pytest.raises(EnumerationCapExceeded):
         all_subgroups(big)
+    with pytest.raises(EnumerationCapExceeded):
+        subgroup_class_ids(big)
     assert len(all_subgroups(big, cap=81)) == 212
+    assert len(subgroup_class_ids(big, cap=81)) == 212
 
 
 def test_subgroups_of_order():
@@ -363,6 +387,7 @@ def test_random_permutation_groups_match_oracles(images, picks_a, picks_b):
     assert np.array_equal(a._arr, closure_by_products(group, trivial, gens_a))
     assert np.array_equal(b._arr, closure_by_products(group, trivial, gens_b))
     assert np.array_equal(join(a, b)._arr, closure_by_products(group, a._arr, b._arr, gen_closed=True))
+    assert positions_by_class_id(group) == subgroup_conjugacy_classes(all_subgroups(group))
     if group.order <= 12:
         assert {frozenset(s.members) for s in all_subgroups(group)} == subgroups_by_subsets(group)
 
