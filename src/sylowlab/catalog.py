@@ -303,17 +303,15 @@ def _build_q8(label: str) -> FiniteGroup:
 
 
 def _build_elab(p: int, k: int, label: str) -> FiniteGroup:
+    """(Z/p)^k with element i coded by its base-p digits, added digit by digit mod p."""
     h = p**k
     codes = np.arange(h, dtype=np.int32)
-    digits = np.empty((h, k), dtype=np.int32)
-    rest = codes.copy()
-    for d in range(k - 1, -1, -1):
-        digits[:, d] = rest % p
-        rest //= p
-    weights = p ** np.arange(k - 1, -1, -1, dtype=np.int32)
-    sums = (digits[:, None, :] + digits[None, :, :]) % p
-    table = (sums * weights).sum(axis=2).astype(np.int32)
-    names = ["(" + ",".join(str(v) for v in row) + ")" for row in digits]
+    weights = [p**d for d in range(k - 1, -1, -1)]
+    table = np.zeros((h, h), dtype=np.int32)
+    for w in weights:
+        digit = codes // w % p
+        table += (digit[:, None] + digit) % p * w
+    names = ["(" + ",".join(str(i // w % p) for w in weights) + ")" for i in range(h)]
     return FiniteGroup(table, label=label, element_names=names)
 
 
@@ -365,6 +363,9 @@ def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:
         try:
             with warnings.catch_warnings():  # an empty file warns; group_from_table rejects it
                 warnings.simplefilter("ignore", UserWarning)
+                width = np.loadtxt(args[0], dtype=np.int64, max_rows=1).size
+                if width > cap:  # refuse before reading the rest of the file
+                    raise ClosureExceedsCap(f"table order {width} exceeds construction cap {cap}")
                 raw = np.loadtxt(args[0], dtype=np.int64)
         except OSError as exc:
             raise ValidationError(f"cannot read table file: {exc}") from exc

@@ -1,16 +1,19 @@
-"""Command-line front end.
+"""Command-line front end: argv parsing, dispatch and exit codes.
 
-Exit codes: 0 all good, 1 at least one verification check failed, 2 usage,
-parse or build errors, 3 an engine invariant broke (a bug, not a failed
-check), 141 (128 + SIGPIPE) stdout was closed before all output was
-written, as by `| head`. Reports go to stdout, diagnostics to
-stderr. The SYLOWLAB_CAPS env var ("construction,subgroups,automorphisms")
-overrides the three size caps.
+The argparse parser is built once per process, on the first main call.
+Check selection belongs to the engine: counting.select_checks parses
+--theorems. Exit codes: 0 all good, 1 at least one verification check
+failed, 2 usage, parse or build errors, 3 an engine invariant broke (a
+bug, not a failed check), 141 (128 + SIGPIPE) stdout was closed before
+all output was written, as by `| head`. Reports go to stdout,
+diagnostics to stderr. The SYLOWLAB_CAPS env var
+("construction,subgroups,automorphisms") overrides the three size caps.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .catalog import build, parse_spec, render, standard_catalog
 from .config import Caps, caps_from_env
-from .counting import _SUITE, _members_str, theorem_suite
+from .counting import _members_str, select_checks, theorem_suite
 from .errors import SylowLabError
 from .groups import FiniteGroup
 from .subgroups import (
@@ -103,46 +106,14 @@ def _cmd_decompose(args, caps: Caps) -> int:
     return 0
 
 
-def _listed_ids(raw: str) -> set[str]:
-    return {part.strip() for part in raw.split(",") if part.strip()}
-
-
-def _require_known_ids(raw: str | None) -> None:
-    """Reject a --theorems list that is empty or has an item naming no check."""
-    if raw is None:
-        return
-    wanted = _listed_ids(raw)
-    known = {check.theorem_id for check in _SUITE}
-    known |= {tid.split(".")[0] for tid in known}
-    unknown = sorted(wanted - known) if wanted else [repr(raw)]
-    if unknown:
-        raise ValueError(f"unknown theorem id(s): {', '.join(unknown)}")
-
-
-def _theorem_filter(raw: str | None):
-    """Predicate on theorem ids: an exact id or a section prefix; None selects all."""
-    if raw is None:
-        return None
-    wanted = _listed_ids(raw)
-
-    def selected(theorem_id: str) -> bool:
-        return theorem_id in wanted or theorem_id.split(".")[0] in wanted
-
-    return selected
-
-
 def _cmd_verify(args, caps: Caps) -> int:
     if args.catalog is not None and args.group is not None:
-        print("error: give either a group spec or --catalog, not both", file=sys.stderr)
-        return 2
+        raise ValueError("give either a group spec or --catalog, not both")
     if args.catalog is None and args.group is None:
-        print("error: verify needs a group spec or --catalog", file=sys.stderr)
-        return 2
+        raise ValueError("verify needs a group spec or --catalog")
     if args.catalog is not None and args.catalog < 1:
-        print(f"error: --catalog needs a positive order, got {args.catalog}", file=sys.stderr)
-        return 2
-    _require_known_ids(args.theorems)
-    selected = _theorem_filter(args.theorems)
+        raise ValueError(f"--catalog needs a positive order, got {args.catalog}")
+    selected = None if args.theorems is None else select_checks(args.theorems)
     if args.catalog is not None:
         groups = standard_catalog(args.catalog, caps.construction)
     else:
@@ -157,6 +128,7 @@ def _cmd_verify(args, caps: Caps) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sylowlab",
@@ -210,12 +182,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        caps = caps_from_env()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, caps)
+        return args.func(args, caps_from_env())
     except (SylowLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

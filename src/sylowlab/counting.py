@@ -41,7 +41,6 @@ from .subgroups import (
     subgroup_class_ids,
     subgroup_conjugacy_classes,
     subgroups_of_order,
-    subgroups_within,
 )
 from .sylow import cached_sylow_chain
 
@@ -365,11 +364,10 @@ def incidence_check(group: FiniteGroup, p: int, kappa: int, caps: Caps = DEFAULT
     )
 
 
-def classify_kinds(
-    group: FiniteGroup, p: int, kappa: int, caps: Caps = DEFAULT_CAPS
-) -> tuple[KindClassification, VerificationReport]:
-    """Split order-p^kappa subgroups by whether p^lambda divides their normalizer order."""
-    _require_prime_power_divides(group, p, kappa)
+def _split_kinds(
+    group: FiniteGroup, p: int, kappa: int, caps: Caps
+) -> tuple[list[SubgroupSet], list[SubgroupSet]]:
+    """Order-p^kappa subgroups of the first kind (p^lambda divides the normalizer order), then the rest."""
     lam = valuation(group.order, p)
     first: list[SubgroupSet] = []
     second: list[SubgroupSet] = []
@@ -378,6 +376,15 @@ def classify_kinds(
             first.append(sub)
         else:
             second.append(sub)
+    return first, second
+
+
+def classify_kinds(
+    group: FiniteGroup, p: int, kappa: int, caps: Caps = DEFAULT_CAPS
+) -> tuple[KindClassification, VerificationReport]:
+    """Split order-p^kappa subgroups by whether p^lambda divides their normalizer order."""
+    _require_prime_power_divides(group, p, kappa)
+    first, second = _split_kinds(group, p, kappa, caps)
     report = VerificationReport(
         theorem_id="S5.I",
         group=group.label,
@@ -428,6 +435,15 @@ def count_normal_within(
     )
 
 
+def _normal_in_sylow(top: SubgroupSet, caps: Caps) -> tuple[SubgroupSet, list[SubgroupSet]]:
+    """N(P) and the subgroups normal in P, in lattice order, for a Sylow subgroup P."""
+    normals = [
+        q for q in all_subgroups(top.parent, caps.subgroups)
+        if top.contains_subgroup(q) and is_normal_within(q, top)
+    ]
+    return normalizer(top), normals
+
+
 def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     """h/q' == p'/r modulo p^(lambda-delta), for every normal subgroup Q of a Sylow subgroup.
 
@@ -452,24 +468,20 @@ def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Verifi
         )
     delta = max(valuation((mask & top.mask).bit_count(), p) for mask in conjugates if mask != top.mask)
     modulus = p ** (lam - delta)
-    norm_top = normalizer(top)
+    norm_top, normals = _normal_in_sylow(top, caps)
     p_prime = norm_top.size
-    norm_top_set = set(int(i) for i in norm_top._arr)
     witnesses = []
     passed = True
-    checked = 0
-    for q_sub in subgroups_within(top, caps.subgroups):
-        if not is_normal_within(q_sub, top):
-            continue
-        q_prime = normalizer(q_sub).size
-        r_size = len(norm_top_set.intersection(int(i) for i in normalizer(q_sub)._arr))
+    for q_sub in normals:
+        norm_q = normalizer(q_sub)
+        q_prime = norm_q.size
+        r_size = (norm_q.mask & norm_top.mask).bit_count()
         if h % q_prime != 0 or p_prime % r_size != 0:
             raise RuntimeError("normalizer sizes fail Lagrange; engine invariant broken")
         lhs = h // q_prime
         rhs = p_prime // r_size
         ok = (lhs - rhs) % modulus == 0
         passed = passed and ok
-        checked += 1
         witnesses.append(
             f"|Q|={q_sub.size} h/q'={lhs} p'/r={rhs}{'' if ok else ' MISMATCH'}"
         )
@@ -477,7 +489,7 @@ def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Verifi
         theorem_id="S5.7",
         group=group.label,
         params={"p": p, "lambda": lam, "delta": delta},
-        counted=checked,
+        counted=len(normals),
         relation=f"h/q' == p'/r (mod {modulus}) for all normal subgroups of the Sylow subgroup",
         passed=passed,
         witnesses=witnesses,
@@ -493,9 +505,7 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
     """
     _require_prime_divides(group, p)
     lam = valuation(group.order, p)
-    top = cached_sylow_chain(group, p).top
-    norm_top = normalizer(top)
-    normals = [q for q in subgroups_within(top, caps.subgroups) if is_normal_within(q, top)]
+    norm_top, normals = _normal_in_sylow(cached_sylow_chain(group, p).top, caps)
     class_ids = subgroup_class_ids(group, caps.subgroups)
     local_orbits = subgroup_conjugacy_classes(normals, acting=norm_top)
     local_ids = {normals[i].mask: c for c, orbit in enumerate(local_orbits) for i in orbit}
@@ -512,15 +522,10 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
             for q1 in others if local_ids[q1.mask] != local_ids[q0.mask]
         ]
     # class-count corollary, per subgroup order
-    subs_all = all_subgroups(group, caps.subgroups)
     for kappa in range(1, lam + 1):
-        size = p**kappa
-        first = [
-            s for s in subs_all
-            if s.size == size and valuation(normalizer(s).size, p) >= lam
-        ]
+        first, _ = _split_kinds(group, p, kappa, caps)
         h_classes = len({class_ids[s.mask] for s in first})
-        local_classes = len({local_ids[q.mask] for q in normals if q.size == size})
+        local_classes = len({local_ids[q.mask] for q in normals if q.size == p**kappa})
         if h_classes != local_classes:
             witnesses.append(
                 f"kappa={kappa}: {h_classes} H-classes vs {local_classes} normalizer classes"
@@ -669,22 +674,37 @@ _SUITE = (
 )
 
 
+def select_checks(raw: str) -> frozenset[str]:
+    """The check ids a comma-separated --theorems list names.
+
+    Each item is an exact id or a section prefix ("S5" selects S5.I,
+    S5.II, ...). Raises ValueError on an empty list or an item that names
+    no check.
+    """
+    sections = {check.theorem_id: check.theorem_id.split(".")[0] for check in _SUITE}
+    wanted = {part.strip() for part in raw.split(",")} - {""}
+    unknown = sorted(wanted - set(sections) - set(sections.values())) if wanted else [repr(raw)]
+    if unknown:
+        raise ValueError(f"unknown theorem id(s): {', '.join(unknown)}")
+    return frozenset(tid for tid, section in sections.items() if tid in wanted or section in wanted)
+
+
 def theorem_suite(
-    group: FiniteGroup, caps: Caps = DEFAULT_CAPS, selected: Callable[[str], bool] | None = None
+    group: FiniteGroup, caps: Caps = DEFAULT_CAPS, selected: frozenset[str] | None = None
 ) -> list[VerificationReport]:
     """Run every applicable row of the suite table, in table order.
 
     The headline divisibility check sweeps every n in 1..h while h is at
     most FULL_SWEEP_LIMIT and the divisors of h above it. Checks that need
     the subgroup lattice are skipped for groups over the enumeration cap.
-    selected says from a theorem id whether to run that check; a check it
-    rejects is not computed, parameters included.
+    selected, from select_checks, holds the theorem ids to run (None runs
+    them all); a check outside it is not computed, parameters included.
     """
     lattice_ok = group.order <= caps.subgroups
     reports: list[VerificationReport] = []
     for per_prime, rows in groupby(_SUITE, key=attrgetter("per_prime")):
         block = [c for c in rows if (lattice_ok or not c.needs_lattice)
-                 and (selected is None or selected(c.theorem_id))]
+                 and (selected is None or c.theorem_id in selected)]
         for p in _primes(group) if per_prime else (None,):
             for check in block:
                 reports.extend(check.run(group, caps, kw) for kw in check.params(group, caps, p))

@@ -461,14 +461,10 @@ def as_group(a: SubgroupSet) -> tuple[FiniteGroup, np.ndarray]:
 def subgroups_within(a: SubgroupSet, cap: int | None = None) -> list[SubgroupSet]:
     """Subgroups of A, returned as subgroup sets of A's parent.
 
-    Filters the parent's lattice when it is already cached; otherwise
-    enumerates A as a standalone group. Both give the same order, because
-    the embedding is ascending.
+    Enumerates A as a standalone group, so the cap applies to A's order
+    and the parent may lie above it. The order is that of the parent's
+    lattice filtered by containment, because the embedding is ascending.
     """
-    lattice = a.parent._cache.get("subgroups")
-    if lattice is not None:
-        _require_lattice_cap(a.size, cap)
-        return [s for s in lattice if a.contains_subgroup(s)]
     grp, emb = as_group(a)
     return [
         SubgroupSet._unchecked(a.parent, np.sort(emb[s._arr]).astype(np.int32))

@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive: plain Python loops over the raw
 multiplication table, no reuse of the engine's closure or lattice code.
-The exceptions are closure_by_products, subgroups_by_layered_extension and
-automorphisms_by_backtracking, the engine's former closure, lattice
-enumerator and automorphism search, kept as references for the code that
-replaced them.
+The exceptions are closure_by_products, subgroups_by_layered_extension,
+automorphisms_by_backtracking and elab_by_digit_array, the engine's former
+closure, lattice enumerator, automorphism search and elab builder, kept as
+references for the code that replaced them.
 """
 
 from __future__ import annotations
@@ -242,3 +242,22 @@ def is_hom_bijection(group, phi) -> bool:
             if phi[int(group.table[a, b])] != int(group.table[phi[a], phi[b]]):
                 return False
     return True
+
+
+def elab_by_digit_array(p: int, k: int) -> tuple[np.ndarray, list[str]]:
+    """Table and names of (Z/p)^k from an h x h x k array of digit sums.
+
+    The engine's former elab builder; it holds every digit of every
+    product at once.
+    """
+    h = p**k
+    digits = np.empty((h, k), dtype=np.int32)
+    rest = np.arange(h, dtype=np.int32)
+    for d in range(k - 1, -1, -1):
+        digits[:, d] = rest % p
+        rest //= p
+    weights = p ** np.arange(k - 1, -1, -1, dtype=np.int32)
+    sums = (digits[:, None, :] + digits[None, :, :]) % p
+    table = (sums * weights).sum(axis=2).astype(np.int32)
+    names = ["(" + ",".join(str(v) for v in row) + ")" for row in digits]
+    return table, names

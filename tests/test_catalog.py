@@ -16,6 +16,8 @@ from sylowlab.errors import ClosureExceedsCap, NotAGroup, ParseError, Validation
 from sylowlab.groups import group_from_table
 from sylowlab.subgroups import center, is_cyclic
 
+from oracles import elab_by_digit_array
+
 
 @pytest.mark.parametrize(
     "text",
@@ -151,6 +153,14 @@ def test_elab_structure():
     assert e8.element_names[0] == "(0,0,0)"
     e9 = build("elab:3^2")
     assert e9.order == 9 and max(e9.elem_order) == 3
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 9), (3, 4), (3, 5), (5, 2), (7, 3)])
+def test_elab_builder_matches_digit_array_oracle(p, k):
+    group = build(f"elab:{p}^{k}")
+    table, names = elab_by_digit_array(p, k)
+    assert np.array_equal(group.table, table)
+    assert group.element_names == tuple(names)
 
 
 def test_heisenberg_invariants():

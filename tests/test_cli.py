@@ -234,6 +234,16 @@ def test_table_above_cap_exits_2(monkeypatch, capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and "cap 4" in err
 
 
+def test_table_above_cap_is_refused_from_its_first_row(monkeypatch, capsys, tmp_path):
+    """The cap is checked on the first row, before the rest of the file is parsed."""
+    path = tmp_path / "wide.txt"
+    path.write_text("0 1 2 3 4\nnot a table row\n")
+    monkeypatch.setenv(ENV_CAPS, "4,,")
+    code, out, err = run_cli(capsys, "info", f"table:@{path}")
+    assert code == 2 and out == ""
+    assert err == "error: table order 5 exceeds construction cap 4\n"
+
+
 def test_verify_catalog_24_json_digest(capsys):
     """The report stream is pinned: a refactor of the suite must not change one byte."""
     code, out, _ = run_cli(capsys, "verify", "--catalog", "24", "--json")
@@ -257,6 +267,21 @@ def test_caps_env_malformed(monkeypatch, capsys):
     monkeypatch.setenv(ENV_CAPS, "not,numbers")
     code, _, err = run_cli(capsys, "info", "cyclic:2")
     assert code == 2 and ENV_CAPS in err
+
+
+def test_one_process_calls_match_fresh_processes(capsys):
+    """Calls sharing one cached parser give what each gives in a fresh interpreter."""
+    calls = [["verify", "sym:3", "--bogus"], ["verify", "sym:3", "--theorems", "S4"], ["info", "q8"]]
+    cli.build_parser.cache_clear()
+    in_process = [run_cli(capsys, *argv)[:2] for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = [
+        subprocess.run([sys.executable, "-m", "sylowlab.cli", *argv], capture_output=True,
+                       text=True, env=env_with_src(), timeout=120)
+        for argv in calls
+    ]
+    assert in_process == [(proc.returncode, proc.stdout) for proc in fresh]
+    assert [code for code, _ in in_process] == [2, 0, 0]
 
 
 def test_usage_error_exit_code(capsys):

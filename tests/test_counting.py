@@ -5,9 +5,8 @@ from math import gcd
 
 import pytest
 
-from sylowlab import counting
+from sylowlab import counting, subgroups
 from sylowlab.catalog import build, standard_catalog
-from sylowlab.cli import _theorem_filter
 from sylowlab.config import Caps
 from sylowlab.counting import (
     classify_kinds,
@@ -21,6 +20,7 @@ from sylowlab.counting import (
     incidence_check,
     normal_fusion_check,
     power_stabilization_check,
+    select_checks,
     solution_subgroup,
     sylow_chain_check,
     sylow_single_class,
@@ -156,7 +156,7 @@ def test_s2_closes_each_solution_set_twice(monkeypatch):
 
     monkeypatch.setattr(counting, "closure_of", counted)
     group = build("sym:4")
-    reports = theorem_suite(group, selected=_theorem_filter("S2"))
+    reports = theorem_suite(group, selected=select_checks("S2"))
     ns = [r.params["n"] for r in reports if r.theorem_id == "S2.III"]
     assert ns == divisors(group.order)
     assert [r.params["n"] for r in reports if r.theorem_id == "S2.power"] == ns
@@ -408,19 +408,54 @@ def full_suite24():
     return {name: theorem_suite(group) for name, group in standard_catalog(24)}
 
 
-@pytest.mark.parametrize("raw", ["S4.I", "S5", "intro", "intro.gcd,S2.IV", "nosuch"])
+@pytest.mark.parametrize("raw", ["S4.I", "S5", "intro", "intro.gcd,S2.IV"])
 def test_filtered_suite_equals_filtered_full_suite(raw, full_suite24):
-    selected = _theorem_filter(raw)
+    selected = select_checks(raw)
     for name, group in standard_catalog(24):  # fresh groups: nothing cached by the full run
         filtered = [r.json_line() for r in theorem_suite(group, selected=selected)]
-        full = [r.json_line() for r in full_suite24[name] if selected(r.theorem_id)]
+        full = [r.json_line() for r in full_suite24[name] if r.theorem_id in selected]
         assert filtered == full, name
+
+
+def test_empty_selection_runs_nothing():
+    with pytest.raises(ValueError):
+        select_checks("nosuch")
+    assert theorem_suite(build("sym:4"), selected=frozenset()) == []
+
+
+def test_select_checks_ids_and_prefixes():
+    assert select_checks("S4.I") == {"S4.I"}
+    assert select_checks("S5") == {"S5.I", "S5.II", "S5.7", "S5.III"}
+    assert select_checks(" intro.gcd , S2.IV,intro.gcd,, ") == {"intro.gcd", "S2.IV"}
+    assert select_checks("S3,S3.I") == {"S3.I"}
+    all_ids = {check.theorem_id for check in counting._SUITE}
+    assert select_checks(",".join(sorted(all_ids))) == all_ids
+
+
+def test_select_checks_rejects_unknown_and_empty_lists():
+    with pytest.raises(ValueError, match=r"^unknown theorem id\(s\): S4\.l, S9$"):
+        select_checks("S9,S4.I,S4.l")
+    for raw in ("", ",", " , "):
+        with pytest.raises(ValueError, match=r"^unknown theorem id\(s\): "):
+            select_checks(raw)
+
+
+@pytest.mark.parametrize("selection", ["S5.III", "S5.7"])
+def test_sylow_local_checks_read_the_lattice(monkeypatch, selection):
+    """S5.7 and S5.III take the Sylow subgroup's normal subgroups from the lattice, not a second enumeration."""
+    def no_standalone(a):
+        raise AssertionError("the Sylow subgroup was enumerated as a standalone group")
+
+    monkeypatch.setattr(subgroups, "as_group", no_standalone)
+    reports = theorem_suite(build("sym:4"), selected=select_checks(selection))
+    assert [r.theorem_id for r in reports] == [selection, selection]
+    assert all(r.passed for r in reports)
 
 
 def test_lattice_free_selection_skips_lattice_and_automorphisms():
     group = build("sym:4")
-    reports = theorem_suite(group, selected=_theorem_filter("intro.gcd,intro.pcount,S2.IV"))
+    reports = theorem_suite(group, selected=select_checks("intro.gcd,intro.pcount,S2.IV"))
     assert {r.theorem_id for r in reports} == {"intro.gcd", "intro.pcount", "S2.IV"}
     assert "subgroups" not in group._cache and "automorphisms" not in group._cache
-    theorem_suite(group, selected=_theorem_filter("S4.I"))
+    theorem_suite(group, selected=select_checks("S4.I"))
     assert "subgroups" in group._cache
