@@ -363,14 +363,37 @@ def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:
         try:
             with warnings.catch_warnings():  # an empty file warns; group_from_table rejects it
                 warnings.simplefilter("ignore", UserWarning)
-                width = np.loadtxt(args[0], dtype=np.int64, max_rows=1).size
-                if width > cap:  # refuse before reading the rest of the file
-                    raise ClosureExceedsCap(f"table order {width} exceeds construction cap {cap}")
+                _refuse_wide_table(args[0], cap)  # before reading the rest of the file
                 raw = np.loadtxt(args[0], dtype=np.int64)
         except OSError as exc:
             raise ValidationError(f"cannot read table file: {exc}") from exc
         return group_from_table(np.atleast_2d(raw), cap=cap, label=label)
     raise ValueError(f"unknown spec kind {kind!r}")
+
+
+def _refuse_wide_table(path: str, cap: int) -> None:
+    """Refuse a table file whose first data row has more than cap fields.
+
+    Fields split as in np.loadtxt: on whitespace, "#" starts a comment, and
+    rows without fields are skipped. The row is read in pieces, and reading
+    stops at the first piece past the cap.
+    """
+    width, joined, comment = 0, False, False  # joined: a field runs on into the next piece
+    with open(path) as f:
+        while piece := f.readline(1 << 16):  # at most 64 Ki characters at a time
+            if not comment:
+                text, hash_, _ = piece.partition("#")
+                comment = bool(hash_)
+                width += len(text.split()) - (joined and text[:1].strip() != "")
+                joined = text[-1:].strip() != ""
+            ended = piece.endswith("\n")
+            if width > cap:
+                order = width if ended else f"over {cap}"
+                raise ClosureExceedsCap(f"table order {order} exceeds construction cap {cap}")
+            if ended:
+                if width:
+                    return
+                comment = joined = False
 
 
 def _check_order(order: int, cap: int) -> None:

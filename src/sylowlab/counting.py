@@ -44,8 +44,6 @@ from .subgroups import (
 )
 from .sylow import cached_sylow_chain
 
-_JSON_KEYS = ("theorem_id", "group", "params", "counted", "relation", "passed", "witnesses")
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -342,8 +340,8 @@ def incidence_check(group: FiniteGroup, p: int, kappa: int, caps: Caps = DEFAULT
     _require_prime_power_divides(group, p, kappa)
     lower = subgroups_of_order(group, p ** (kappa - 1), caps.subgroups)
     upper = subgroups_of_order(group, p**kappa, caps.subgroups)
-    a_counts = [sum(1 for b in upper if b.contains_subgroup(a)) for a in lower]
-    b_counts = [sum(1 for a in lower if b.contains_subgroup(a)) for b in upper]
+    incidence = np.array([[b.contains_subgroup(a) for b in upper] for a in lower], dtype=bool)
+    a_counts, b_counts = incidence.sum(axis=1).tolist(), incidence.sum(axis=0).tolist()
     sum_a, sum_b = sum(a_counts), sum(b_counts)
     ok_a = all(a % p == 1 for a in a_counts)
     ok_b = all(b % p == 1 for b in b_counts)

@@ -264,25 +264,25 @@ def group_from_generators(
     elems: list[tuple[int, ...]] = [ident]
     index: dict[tuple[int, ...], int] = {ident: 0}
     gen_images = [g.images for g in gens]
-    i = 0
-    while i < len(elems):
-        cur = elems[i]
-        for g in gen_images:
+    right: list[int] = []                  # right[i * len(gens) + k]: element i, then generator k
+    reached: list[tuple[int, int]] = []    # reached[b - 1]: the (i, k) that first gave b
+    for i, cur in enumerate(elems):        # elems grows while it is walked
+        for k, g in enumerate(gen_images):
             nxt = tuple(g[v] for v in cur)
             if nxt not in index:
                 if len(elems) >= cap:
                     raise ClosureExceedsCap(f"closure of generators exceeds cap {cap}")
                 index[nxt] = len(elems)
                 elems.append(nxt)
-        i += 1
+                reached.append((i, k))
+            right.append(index[nxt])
 
     h = len(elems)
-    images = np.array(elems, dtype=np.int32)
-    row_index = {images[k].tobytes(): k for k in range(h)}
+    right_arr = np.array(right, dtype=np.int32).reshape(h, len(gens))
     table = np.empty((h, h), dtype=np.int32)
-    for a in range(h):
-        composed = images[:, images[a]]  # composed[b] = images of "a then b"
-        table[a] = [row_index[row.tobytes()] for row in composed]
+    table[:, 0] = np.arange(h, dtype=np.int32)
+    for b, (a, k) in enumerate(reached, start=1):
+        table[:, b] = right_arr[table[:, a], k]  # x (a g) = (x a) g
     perms = [Permutation(row) for row in elems]
     names = [p.cycle_string() for p in perms]
     return FiniteGroup(table, label=label, element_names=names, perms=perms)

@@ -23,8 +23,8 @@ from .numtheory import prime_power_base
 
 def _mask_of(arr: np.ndarray) -> int:
     mask = 0
-    for i in arr:
-        mask |= 1 << int(i)
+    for i in arr.tolist():
+        mask |= 1 << i
     return mask
 
 

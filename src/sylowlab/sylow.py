@@ -1,9 +1,12 @@
 """Constructive procedures on p-subgroups and coprime element decompositions.
 
 sylow_chain builds a full tower p, p^2, ..., p^lambda by the class-equation
-recursion: pick an order-p element whose conjugacy class size is prime to p,
-pass to the quotient of its centralizer by its span, recurse, and lift the
-result back through the coset section.
+recursion, run on cosets inside the group's own table: A starts as the group
+and N as 1. Each level takes the least a in A outside N with a^p in N whose
+centralizer modulo N, {b in A : a^-1 b^-1 a b in N}, has full p-valuation,
+adds the cosets Na, ..., Na^(p-1) to N and shrinks A to that centralizer.
+In a p-group that holds exactly when Na is central in A/N, so the tower
+without its top is a chief series.
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from .errors import (
 )
 from .groups import ElementIndex, FiniteGroup, power
 from .numtheory import is_prime, prime_power_base, valuation
-from .subgroups import (
-    SubgroupSet,
-    as_group,
-    centralizer,
-    cyclic_subgroup,
-    is_normal,
-    quotient,
-)
+from .subgroups import SubgroupSet, is_normal
 
 
 @dataclass(frozen=True)
@@ -65,36 +61,30 @@ class CoprimeDecomposition:
     beta: int
 
 
-def _preimage(to_coset: np.ndarray, coset_arr: np.ndarray) -> np.ndarray:
-    keep = np.isin(to_coset, coset_arr)
-    return np.flatnonzero(keep).astype(np.int32)
-
-
 def _chain_members(group: FiniteGroup, p: int, lam: int) -> list[np.ndarray]:
     """Member arrays of a Sylow tower of group, orders p^1..p^lam."""
-    table = group.table
-    orders = group.elem_order
-    witness = -1
-    for x in np.flatnonzero(orders == p):
-        x = int(x)
-        cent_size = int((table[:, x] == table[x, :]).sum())
-        if valuation(cent_size, p) == lam:
-            witness = x
-            break
-    if witness < 0:  # impossible by the class-equation count of order-p elements
-        raise RuntimeError(f"no order-{p} element with full-valuation centralizer found")
-    span = cyclic_subgroup(group, witness)
-    if lam == 1:
-        return [span._arr]
-    cent = centralizer(group, witness)
-    cent_grp, emb = as_group(cent)
-    pos = np.full(group.order, -1, dtype=np.int32)
-    pos[emb] = np.arange(emb.size, dtype=np.int32)
-    span_in_cent = SubgroupSet._unchecked(cent_grp, np.sort(pos[span._arr]).astype(np.int32))
-    quot = quotient(cent_grp, span_in_cent)
-    rest = _chain_members(quot.group, p, lam - 1)
-    lifted = [emb[_preimage(quot.to_coset, arr)] for arr in rest]
-    return [span._arr] + [np.sort(arr).astype(np.int32) for arr in lifted]
+    table, inverse = group.table, group.inverse
+    ambient = np.arange(group.order, dtype=np.int32)  # A, ascending
+    inside = ambient == 0                              # N, as a membership vector
+    members = []
+    for _ in range(lam):
+        pth = ambient  # p-th powers of A
+        for _ in range(p - 1):
+            pth = table[pth, ambient]
+        for a in ambient[inside[pth] & ~inside[ambient]]:  # Na of order p in A/N, least a first
+            comm = table[table[table[inverse[a], inverse[ambient]], a], ambient]  # a^-1 b^-1 a b
+            cent = ambient[inside[comm]]  # the preimage in A of Na's centralizer in A/N
+            if valuation(cent.size, p) == lam:
+                break
+        else:  # impossible by the class-equation count of order-p cosets
+            raise RuntimeError(f"no order-{p} element with full-valuation centralizer found")
+        coset = np.flatnonzero(inside)
+        for _ in range(p - 1):
+            coset = table[coset, a]
+            inside[coset] = True
+        members.append(np.flatnonzero(inside).astype(np.int32))
+        ambient = cent
+    return members
 
 
 def sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
@@ -120,25 +110,13 @@ def cached_sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
 def chief_series(pgroup: FiniteGroup) -> ChiefSeries:
     """Normal subgroups of orders p..p^(lambda-1), each inside the next.
 
-    Recursive construction: the span of the smallest-index central element
-    of order p is the first term; the rest is the lifted series of the
-    quotient by it.
+    In a p-group every level of the Sylow tower picks a central coset of
+    order p, so the tower below its top is the series.
     """
     p = prime_power_base(pgroup.order)
     if p is None:
         raise NotAPGroup(f"order {pgroup.order} is not a prime power")
-    lam = valuation(pgroup.order, p)
-    if lam == 1:
-        return ChiefSeries(series=())
-    candidates = np.flatnonzero(pgroup.central_mask() & (pgroup.elem_order == p))
-    first = cyclic_subgroup(pgroup, int(candidates[0]))
-    quot = quotient(pgroup, first)
-    rest = chief_series(quot.group).series
-    lifted = [
-        SubgroupSet._unchecked(pgroup, _preimage(quot.to_coset, term._arr))
-        for term in rest
-    ]
-    return ChiefSeries(series=(first, *lifted))
+    return ChiefSeries(series=sylow_chain(pgroup, p).chain[:-1])
 
 
 def central_element_of_order_p(pgroup: FiniteGroup, n: SubgroupSet) -> ElementIndex:

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: plain Python loops over the raw
 multiplication table, no reuse of the engine's closure or lattice code.
 The exceptions are closure_by_products, subgroups_by_layered_extension,
-automorphisms_by_backtracking and elab_by_digit_array, the engine's former
-closure, lattice enumerator, automorphism search and elab builder, kept as
-references for the code that replaced them.
+automorphisms_by_backtracking, elab_by_digit_array, tower_by_quotients and
+table_by_row_index, the engine's former closure, lattice enumerator,
+automorphism search, elab builder, Sylow tower and generator-table builder,
+kept as references for the code that replaced them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,17 @@ from itertools import combinations
 
 import numpy as np
 
-from sylowlab.subgroups import _mask_of, _prime_power_cyclics
+from sylowlab.groups import Permutation
+from sylowlab.numtheory import valuation
+from sylowlab.subgroups import (
+    SubgroupSet,
+    _mask_of,
+    _prime_power_cyclics,
+    as_group,
+    centralizer,
+    cyclic_subgroup,
+    quotient,
+)
 
 
 def brute_closure(group, seed) -> frozenset[int]:
@@ -261,3 +272,56 @@ def elab_by_digit_array(p: int, k: int) -> tuple[np.ndarray, list[str]]:
     table = (sums * weights).sum(axis=2).astype(np.int32)
     names = ["(" + ",".join(str(v) for v in row) + ")" for row in digits]
     return table, names
+
+
+def tower_by_quotients(group, p: int, lam: int) -> list[np.ndarray]:
+    """Member arrays of a Sylow tower of orders p^1..p^lam, by derived groups.
+
+    The engine's former tower: take the first order-p element whose
+    centralizer has full p-valuation, recurse on the quotient of that
+    centralizer (as a standalone group) by the element's span, and lift
+    each term back through the coset map.
+    """
+    table = group.table
+    witness = next(
+        int(x) for x in np.flatnonzero(group.elem_order == p)
+        if valuation(int((table[:, x] == table[x, :]).sum()), p) == lam
+    )
+    span = cyclic_subgroup(group, witness)
+    if lam == 1:
+        return [span._arr]
+    cent_grp, emb = as_group(centralizer(group, witness))
+    pos = np.full(group.order, -1, dtype=np.int32)
+    pos[emb] = np.arange(emb.size, dtype=np.int32)
+    span_in_cent = SubgroupSet._unchecked(cent_grp, np.sort(pos[span._arr]).astype(np.int32))
+    quot = quotient(cent_grp, span_in_cent)
+    rest = tower_by_quotients(quot.group, p, lam - 1)
+    lifted = [emb[np.flatnonzero(np.isin(quot.to_coset, arr))] for arr in rest]
+    return [span._arr] + [np.sort(arr).astype(np.int32) for arr in lifted]
+
+
+def table_by_row_index(gens) -> tuple[np.ndarray, list[str]]:
+    """Table and element names of the group generated by permutations.
+
+    The engine's former generator builder: the same breadth-first closure,
+    then every row of the table looked up product by product in a
+    bytes-keyed index of the elements' images.
+    """
+    ident = tuple(range(gens[0].degree))
+    elems = [ident]
+    index = {ident: 0}
+    i = 0
+    while i < len(elems):
+        for g in gens:
+            nxt = tuple(g.images[v] for v in elems[i])
+            if nxt not in index:
+                index[nxt] = len(elems)
+                elems.append(nxt)
+        i += 1
+    images = np.array(elems, dtype=np.int32)
+    row_index = {row.tobytes(): k for k, row in enumerate(images)}
+    table = np.array(
+        [[row_index[row.tobytes()] for row in images[:, images[a]]] for a in range(len(elems))],
+        dtype=np.int32,
+    )
+    return table, [Permutation(row).cycle_string() for row in elems]

@@ -244,6 +244,26 @@ def test_table_above_cap_is_refused_from_its_first_row(monkeypatch, capsys, tmp_
     assert err == "error: table order 5 exceeds construction cap 4\n"
 
 
+def test_table_row_past_the_cap_is_refused_before_conversion(monkeypatch, capsys, tmp_path):
+    """Fields are counted, not converted: a bad token after cap + 1 entries still gets the cap error."""
+    path = tmp_path / "wide_bad.txt"
+    path.write_text("# a comment line\n\n0 1 2 3 4 x\n")
+    monkeypatch.setenv(ENV_CAPS, "4,,")
+    code, out, err = run_cli(capsys, "info", f"table:@{path}")
+    assert code == 2 and out == ""
+    assert err == "error: table order 6 exceeds construction cap 4\n"
+
+
+def test_overlong_table_row_is_refused_from_its_first_piece(monkeypatch, capsys, tmp_path):
+    """A row longer than one read piece is refused without reading to its end."""
+    path = tmp_path / "long_row.txt"
+    path.write_text("0 " * 100_000 + "\n")
+    monkeypatch.setenv(ENV_CAPS, "4,,")
+    code, out, err = run_cli(capsys, "info", f"table:@{path}")
+    assert code == 2 and out == ""
+    assert err == "error: table order over 4 exceeds construction cap 4\n"
+
+
 def test_verify_catalog_24_json_digest(capsys):
     """The report stream is pinned: a refactor of the suite must not change one byte."""
     code, out, _ = run_cli(capsys, "verify", "--catalog", "24", "--json")

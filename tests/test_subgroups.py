@@ -9,10 +9,11 @@ from sylowlab.catalog import build, standard_catalog
 from sylowlab.counting import _solutions
 from sylowlab.errors import ClosureExceedsCap, EnumerationCapExceeded, NotNormal, ParentMismatch
 from sylowlab.groups import Permutation, element_order, group_from_generators
-from sylowlab.numtheory import divisors
+from sylowlab.numtheory import divisors, prime_factorization, valuation
 from sylowlab.subgroups import (
     ComplexSet,
     SubgroupSet,
+    _mask_of,
     all_subgroups,
     automorphisms,
     center,
@@ -36,6 +37,7 @@ from sylowlab.subgroups import (
     trivial_subgroup,
     whole_group,
 )
+from sylowlab.sylow import sylow_chain
 
 from oracles import (
     automorphisms_by_backtracking,
@@ -46,11 +48,22 @@ from oracles import (
     subgroups_by_layered_extension,
     subgroups_by_pair_closures,
     subgroups_by_subsets,
+    table_by_row_index,
+    tower_by_quotients,
 )
 
 
 def by_names(group, *names):
     return [group.element_names.index(n) for n in names]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_mask_of_matches_the_set_of_members(dtype):
+    rng = np.random.default_rng(0)
+    assert _mask_of(np.array([], dtype=dtype)) == 0
+    for size in range(40):
+        arr = rng.integers(0, 512, size=size).astype(dtype)
+        assert _mask_of(arr) == sum(1 << int(i) for i in set(arr))
 
 
 def test_subgroup_set_validation():
@@ -367,10 +380,17 @@ element_picks = st.lists(st.integers(min_value=0, max_value=23), min_size=1, max
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(permutations_up_to_6, element_picks, element_picks)
 def test_random_permutation_groups_match_oracles(images, picks_a, picks_b):
+    gens = [Permutation(p) for p in images]
     try:
-        group = group_from_generators([Permutation(p) for p in images], cap=24)
+        group = group_from_generators(gens, cap=24)
     except ClosureExceedsCap:
         assume(False)
+    table, names = table_by_row_index(gens)
+    assert np.array_equal(group.table, table) and list(group.element_names) == names
+    for p in prime_factorization(group.order):
+        tower = [s._arr for s in sylow_chain(group, p).chain]
+        expected = tower_by_quotients(group, p, valuation(group.order, p))
+        assert [a.tolist() for a in tower] == [a.tolist() for a in expected]
     autos = automorphisms(group)
     assert [tuple(int(v) for v in row) for row in autos] == automorphisms_by_backtracking(group)
     for row in autos:

@@ -2,9 +2,10 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 
-from sylowlab.catalog import build, standard_catalog
+from sylowlab.catalog import EXTRASPECIAL_27_EXP9_SPEC, HEISENBERG_3_SPEC, build, standard_catalog
 from sylowlab.errors import (
     NotAPGroup,
     NotCoprime,
@@ -32,6 +33,20 @@ from sylowlab.sylow import (
     p_part_decomposition,
     sylow_chain,
 )
+
+from oracles import tower_by_quotients
+
+# Groups of order 120-512, above the lattice and automorphism caps.
+LARGE_SPECS = [
+    "sym:5", "alt:6", "prod(sym:4,dihedral:12)", "prod(sym:5,cyclic:3)", "prod(sym:4,elab:2^4)",
+    "prod(alt:5,dihedral:8)", "prod(sym:5,cyclic:4)", "dihedral:512", "elab:2^9",
+    "prod(q8,elab:2^6)",
+]
+
+P_GROUP_SPECS = [
+    "elab:2^4", "elab:2^5", "prod(cyclic:2,q8)", "dihedral:16", "dihedral:32", "dihedral:64",
+    "cyclic:64", "elab:3^3", HEISENBERG_3_SPEC, EXTRASPECIAL_27_EXP9_SPEC, "elab:5^2", "q8",
+]
 
 
 def assert_valid_chain(group, p, chain):
@@ -76,6 +91,21 @@ def test_sylow_chain_catalog_sweep():
             assert chain.top in subgroups_of_order(group, chain.top.size)
 
 
+@pytest.mark.parametrize(
+    "group",
+    [g for _, g in standard_catalog(60)] + [build(spec) for spec in LARGE_SPECS],
+    ids=lambda g: g.label,
+)
+def test_sylow_chain_matches_the_quotient_recursion(group):
+    """Member arrays equal those of the former recursion through derived groups."""
+    for p in prime_factorization(group.order):
+        chain = sylow_chain(group, p)
+        expected = tower_by_quotients(group, p, valuation(group.order, p))
+        assert len(chain.chain) == len(expected)
+        for term, arr in zip(chain.chain, expected):
+            assert term._arr.dtype == np.int32 and np.array_equal(term._arr, arr)
+
+
 def test_cached_sylow_chain_equals_a_fresh_build():
     for name, group in standard_catalog(24):
         for p in prime_factorization(group.order):
@@ -115,6 +145,15 @@ def test_chief_series_catalog_p_groups():
         lam = valuation(group.order, p)
         assert [t.size for t in series] == [p**i for i in range(1, lam)]
         assert all(is_normal(t) for t in series)
+
+
+@pytest.mark.parametrize("spec", P_GROUP_SPECS)
+def test_chief_series_is_the_sylow_tower_below_its_top(spec):
+    group = build(spec)
+    p = next(iter(prime_factorization(group.order)))
+    series = chief_series(group).series
+    assert series == sylow_chain(group, p).chain[:-1]
+    assert all(is_normal(t) for t in series)
 
 
 def test_chief_series_rejects_non_p_group():
