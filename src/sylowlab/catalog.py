@@ -363,20 +363,21 @@ def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:
         try:
             with warnings.catch_warnings():  # an empty file warns; group_from_table rejects it
                 warnings.simplefilter("ignore", UserWarning)
-                _refuse_wide_table(args[0], cap)  # before reading the rest of the file
-                raw = np.loadtxt(args[0], dtype=np.int64)
+                width = _first_row_width(args[0], cap)  # before reading the rest of the file
+                raw = np.loadtxt(args[0], dtype=np.int64, max_rows=width + 1)
         except OSError as exc:
             raise ValidationError(f"cannot read table file: {exc}") from exc
         return group_from_table(np.atleast_2d(raw), cap=cap, label=label)
     raise ValueError(f"unknown spec kind {kind!r}")
 
 
-def _refuse_wide_table(path: str, cap: int) -> None:
-    """Refuse a table file whose first data row has more than cap fields.
+def _first_row_width(path: str, cap: int) -> int:
+    """Number of fields in a table file's first data row (0 for none).
 
     Fields split as in np.loadtxt: on whitespace, "#" starts a comment, and
     rows without fields are skipped. The row is read in pieces, and reading
-    stops at the first piece past the cap.
+    stops at the first piece past the cap, which is refused. Reading at
+    most width + 1 rows then shows a table with too many rows.
     """
     width, joined, comment = 0, False, False  # joined: a field runs on into the next piece
     with open(path) as f:
@@ -392,8 +393,9 @@ def _refuse_wide_table(path: str, cap: int) -> None:
                 raise ClosureExceedsCap(f"table order {order} exceeds construction cap {cap}")
             if ended:
                 if width:
-                    return
+                    return width
                 comment = joined = False
+    return width
 
 
 def _check_order(order: int, cap: int) -> None:

@@ -154,11 +154,7 @@ def verify_order_p_form(group: FiniteGroup, p: int) -> VerificationReport:
 
 def _solution_closure(group: FiniteGroup, n: int) -> SubgroupSet:
     """Closure of the solutions of x^n = identity, computed once per (group, n)."""
-    key = ("solution_closure", n)
-    cached = group._cache.get(key)
-    if cached is None:
-        cached = group._cache[key] = closure_of(ComplexSet(group, _solutions(group, n)))
-    return cached
+    return group.memo(("solution_closure", n), lambda: closure_of(ComplexSet(group, _solutions(group, n))))
 
 
 def solution_subgroup(group: FiniteGroup, n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:

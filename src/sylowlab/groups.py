@@ -148,32 +148,26 @@ class FiniteGroup:
 
     # -- cached whole-group facts --
 
+    def memo(self, key, compute):
+        """The group's one cache: the value under key, made by compute() on a miss, ndarrays read-only."""
+        if key not in self._cache:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._cache[key] = value
+        return self._cache[key]
+
     def conj_table(self) -> np.ndarray:
         """conj[t, a] = t^-1 a t, as an h x h array."""
-        cached = self._cache.get("conj")
-        if cached is None:
-            h = self.order
-            left = self.table[self.inverse]          # left[t, a] = t^-1 * a
-            cached = self.table[left, np.arange(h, dtype=np.int32)[:, None]]
-            cached.flags.writeable = False
-            self._cache["conj"] = cached
-        return cached
+        # table[inverse][t, a] = t^-1 * a; row t is then right-multiplied by t
+        return self.memo("conj", lambda: self.table[self.table[self.inverse], np.arange(self.order, dtype=np.int32)[:, None]])
 
     def central_mask(self) -> np.ndarray:
         """Boolean mask of the elements that commute with every element."""
-        cached = self._cache.get("central")
-        if cached is None:
-            cached = (self.table == self.table.T).all(axis=1)
-            cached.flags.writeable = False
-            self._cache["central"] = cached
-        return cached
+        return self.memo("central", lambda: (self.table == self.table.T).all(axis=1))
 
     def is_abelian(self) -> bool:
-        cached = self._cache.get("abelian")
-        if cached is None:
-            cached = bool(self.central_mask().all())
-            self._cache["abelian"] = cached
-        return cached
+        return bool(self.central_mask().all())
 
     def exponent(self) -> int:
         """Least common multiple of all element orders."""

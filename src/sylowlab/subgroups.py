@@ -2,8 +2,8 @@
 centralizers, quotients, conjugacy classes and automorphisms.
 
 Subgroups are bitsets over the parent's element indices. All heavy scans
-go through the parent's cached conjugation table, so a normality or
-normalizer query is a single vectorized lookup.
+go through the parent's cached conjugation table, and every normality
+question reads the subgroup's normalizer, scanned once and memoised.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ class ComplexSet:
     __slots__ = ("parent", "_arr", "mask", "size")
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
-        arr = np.unique(np.fromiter((int(m) for m in members), dtype=np.int32))
+        arr = np.unique(np.fromiter(members, dtype=np.int64))
         if arr.size and (arr[0] < 0 or arr[-1] >= parent.order):
             raise ValueError("members out of range for parent group")
         self.parent = parent
-        self._arr = arr
+        self._arr = arr.astype(np.int32)
         self.mask = _mask_of(arr)
         self.size = int(arr.size)
 
@@ -214,9 +214,10 @@ def _prime_power_cyclics(group: FiniteGroup) -> list[tuple[int, np.ndarray, int]
     prime-power-order elements, so these are the only extension candidates
     the lattice enumeration needs.
     """
-    cached = group._cache.get("pp_cyclics")
-    if cached is not None:
-        return cached
+    return group.memo("pp_cyclics", lambda: _find_prime_power_cyclics(group))
+
+
+def _find_prime_power_cyclics(group: FiniteGroup) -> list[tuple[int, np.ndarray, int]]:
     out: list[tuple[int, np.ndarray, int]] = []
     seen: set[int] = set()
     orders = group.elem_order
@@ -227,7 +228,6 @@ def _prime_power_cyclics(group: FiniteGroup) -> list[tuple[int, np.ndarray, int]
         if sub.mask not in seen:
             seen.add(sub.mask)
             out.append((g, sub._arr, sub.mask))
-    group._cache["pp_cyclics"] = out
     return out
 
 
@@ -259,36 +259,7 @@ def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSe
     recorded as one class for subgroup_class_ids.
     """
     _require_lattice_cap(group.order, cap)
-    cached = group._cache.get("subgroups")
-    if cached is None:
-        conj = None if group.is_abelian() else group.conj_table()
-        trivial = np.zeros(1, dtype=np.int32)
-        found: dict[int, np.ndarray] = {1: trivial}
-        rep_of: dict[int, int] = {1: 1}  # bitset -> bitset of its class's queued representative
-        work: deque[tuple[int, np.ndarray]] = deque([(1, trivial)])
-        candidates = _prime_power_cyclics(group)
-        while work:
-            hmask, harr = work.popleft()
-            for _, carr, cmask in candidates:
-                if cmask & hmask == cmask:
-                    continue
-                karr = _extend_subgroup(group, harr, carr, gen_closed=True)
-                kmask = _mask_of(karr)
-                if kmask in found:
-                    continue
-                orbit = {kmask: karr} if conj is None else subgroup_orbit(conj, karr)
-                found.update(orbit)
-                rep_of.update(dict.fromkeys(orbit, kmask))
-                if karr.size < group.order:
-                    work.append((kmask, karr))
-        subs = [SubgroupSet._unchecked(group, arr) for arr in found.values()]
-        subs.sort(key=lambda s: (s.size, s.members))
-        first: dict[int, int] = {}
-        ids = {s.mask: first.setdefault(rep_of[s.mask], len(first)) for s in subs}
-        group._cache["subgroup_class_ids"] = MappingProxyType(ids)
-        cached = subs
-        group._cache["subgroups"] = cached
-    return list(cached)
+    return list(group.memo("subgroups", lambda: _lattice(group))[0])
 
 
 def subgroup_class_ids(group: FiniteGroup, cap: int | None = None) -> Mapping[int, int]:
@@ -298,8 +269,37 @@ def subgroup_class_ids(group: FiniteGroup, cap: int | None = None) -> Mapping[in
     classes 0, 1, ... by first occurrence in all_subgroups order. The
     mapping is read-only and cached beside the lattice.
     """
-    all_subgroups(group, cap)
-    return group._cache["subgroup_class_ids"]
+    _require_lattice_cap(group.order, cap)
+    return group.memo("subgroups", lambda: _lattice(group))[1]
+
+
+def _lattice(group: FiniteGroup) -> tuple[list[SubgroupSet], Mapping[int, int]]:
+    """The sorted subgroup list and the class id of each, as all_subgroups describes."""
+    conj = None if group.is_abelian() else group.conj_table()
+    trivial = np.zeros(1, dtype=np.int32)
+    found: dict[int, np.ndarray] = {1: trivial}
+    rep_of: dict[int, int] = {1: 1}  # bitset -> bitset of its class's queued representative
+    work: deque[tuple[int, np.ndarray]] = deque([(1, trivial)])
+    candidates = _prime_power_cyclics(group)
+    while work:
+        hmask, harr = work.popleft()
+        for _, carr, cmask in candidates:
+            if cmask & hmask == cmask:
+                continue
+            karr = _extend_subgroup(group, harr, carr, gen_closed=True)
+            kmask = _mask_of(karr)
+            if kmask in found:
+                continue
+            orbit = {kmask: karr} if conj is None else subgroup_orbit(conj, karr)
+            found.update(orbit)
+            rep_of.update(dict.fromkeys(orbit, kmask))
+            if karr.size < group.order:
+                work.append((kmask, karr))
+    subs = [SubgroupSet._unchecked(group, arr) for arr in found.values()]
+    subs.sort(key=lambda s: (s.size, s.members))
+    first: dict[int, int] = {}
+    ids = {s.mask: first.setdefault(rep_of[s.mask], len(first)) for s in subs}
+    return subs, MappingProxyType(ids)
 
 
 def subgroups_of_order(group: FiniteGroup, m: int, cap: int | None = None) -> list[SubgroupSet]:
@@ -309,21 +309,22 @@ def subgroups_of_order(group: FiniteGroup, m: int, cap: int | None = None) -> li
 
 def is_normal(a: SubgroupSet) -> bool:
     """True iff t^-1 A t = A for every t in the parent."""
-    conj = a.parent.conj_table()
-    return bool(_inside(a)[conj[:, a._arr]].all())
+    return normalizer(a).size == a.parent.order
 
 
 def is_normal_within(a: SubgroupSet, ambient: SubgroupSet) -> bool:
     """True iff every element of ambient conjugates A to itself."""
     _require_same_parent(a, ambient)
-    conj = a.parent.conj_table()
-    return bool(_inside(a)[conj[np.ix_(ambient._arr, a._arr)]].all())
+    return normalizer(a).contains_subgroup(ambient)
 
 
 def normalizer(a: SubgroupSet) -> SubgroupSet:
-    """All t with t^-1 A t = A; a subgroup containing A."""
-    conj = a.parent.conj_table()
-    rows = _inside(a)[conj[:, a._arr]].all(axis=1)
+    """All t with t^-1 A t = A; a subgroup containing A, cached per subgroup."""
+    return a.parent.memo(("normalizer", a.mask), lambda: _normalizer_scan(a))
+
+
+def _normalizer_scan(a: SubgroupSet) -> SubgroupSet:
+    rows = _inside(a)[a.parent.conj_table()[:, a._arr]].all(axis=1)
     return SubgroupSet._unchecked(a.parent, np.flatnonzero(rows).astype(np.int32))
 
 
@@ -510,18 +511,20 @@ def automorphisms(group: FiniteGroup, cap: int | None = None) -> np.ndarray:
     run one generator at a time over every partial map at once. The
     subgroup H grows by its smallest missing index g; each surviving map
     on H is extended by every same-order image of g outside phi(H), then
-    along a breadth-first tree of <H, g>. A row survives if it respects
-    every generator edge and has trivial kernel. The result is a cached,
-    read-only (n_aut, order) int32 array in ascending lexicographic order.
+    along <H, g> by products of two mapped elements (log-many levels on a
+    cyclic piece). A row survives if it respects every generator edge and
+    has trivial kernel. The result is a cached, read-only (n_aut, order)
+    int32 array in ascending lexicographic order.
     """
     cap = DEFAULT_CAPS.automorphisms if cap is None else cap
     if group.order > cap:
         raise EnumerationCapExceeded(
             f"group order {group.order} exceeds the automorphism cap {cap}"
         )
-    cached = group._cache.get("automorphisms")
-    if cached is not None:
-        return cached
+    return group.memo("automorphisms", lambda: _automorphism_search(group))
+
+
+def _automorphism_search(group: FiniteGroup) -> np.ndarray:
     h, orders = group.order, group.elem_order
     table = group.table.astype(np.min_scalar_type(h - 1))  # smallest dtype: small row temporaries
     maps = np.zeros((1, h), dtype=table.dtype)
@@ -541,22 +544,20 @@ def automorphisms(group: FiniteGroup, cap: int | None = None) -> np.ndarray:
         inside[g] = True
         frontier = np.flatnonzero(inside)
         while frontier.size:
-            prods = table[np.ix_(frontier, gens)].ravel()
+            mapped = np.flatnonzero(inside)
+            prods = table[np.ix_(frontier, mapped)].ravel()
             new, first = np.unique(prods, return_index=True)
             keep = ~inside[new]
             new, first = new[keep], first[keep]
             inside[new] = True
-            src, via = frontier[first // len(gens)], np.asarray(gens)[first % len(gens)]
+            src, via = frontier[first // mapped.size], mapped[first % mapped.size]
             maps[:, new] = table[maps[:, src], maps[:, via]]
             frontier = new
         sub = np.flatnonzero(inside)
         for x in gens:
             maps = maps[(maps[:, table[sub, x]] == table[maps[:, sub], maps[:, [x]]]).all(axis=1)]
         maps = maps[(maps[:, sub[1:]] != 0).all(axis=1)]
-    maps = maps[np.lexsort(maps.T[::-1])].astype(np.int32)
-    maps.flags.writeable = False
-    group._cache["automorphisms"] = maps
-    return maps
+    return maps[np.lexsort(maps.T[::-1])].astype(np.int32)
 
 
 def is_characteristic(a: SubgroupSet, cap: int | None = None) -> bool:

@@ -101,10 +101,7 @@ def sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
 
 def cached_sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
     """sylow_chain(group, p), built once per prime and kept in the group's cache."""
-    chains = group._cache.setdefault("sylow_chains", {})
-    if p not in chains:
-        chains[p] = sylow_chain(group, p)
-    return chains[p]
+    return group.memo(("sylow_chain", p), lambda: sylow_chain(group, p))
 
 
 def chief_series(pgroup: FiniteGroup) -> ChiefSeries:

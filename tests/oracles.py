@@ -3,10 +3,11 @@
 Everything here is deliberately naive: plain Python loops over the raw
 multiplication table, no reuse of the engine's closure or lattice code.
 The exceptions are closure_by_products, subgroups_by_layered_extension,
-automorphisms_by_backtracking, elab_by_digit_array, tower_by_quotients and
-table_by_row_index, the engine's former closure, lattice enumerator,
-automorphism search, elab builder, Sylow tower and generator-table builder,
-kept as references for the code that replaced them.
+automorphisms_by_backtracking, elab_by_digit_array, tower_by_quotients,
+table_by_row_index, is_normal_by_scan and is_normal_within_by_scan, the
+engine's former closure, lattice enumerator, automorphism search, elab
+builder, Sylow tower, generator-table builder and normality scans, kept as
+references for the code that replaced them.
 """
 
 from __future__ import annotations
@@ -325,3 +326,27 @@ def table_by_row_index(gens) -> tuple[np.ndarray, list[str]]:
         dtype=np.int32,
     )
     return table, [Permutation(row).cycle_string() for row in elems]
+
+
+def _fixes(a, actors) -> np.ndarray:
+    """fixes[i]: conjugation by actors[i] maps A into itself, read from the raw table."""
+    table = a.parent.table
+    inside = np.zeros(a.parent.order, dtype=bool)
+    inside[a._arr] = True
+    t = np.asarray(actors)[:, None]
+    return inside[table[table[a.parent.inverse[t], a._arr], t]].all(axis=1)
+
+
+def is_normal_by_scan(a) -> bool:
+    """The engine's former is_normal: conjugation by every parent element fixes A."""
+    return bool(_fixes(a, np.arange(a.parent.order)).all())
+
+
+def is_normal_within_by_scan(a, ambient) -> bool:
+    """The engine's former is_normal_within: conjugation by every member of ambient fixes A."""
+    return bool(_fixes(a, ambient._arr).all())
+
+
+def normalizer_by_scan(a) -> list[int]:
+    """The parent elements whose conjugation fixes A, ascending."""
+    return np.flatnonzero(_fixes(a, np.arange(a.parent.order))).tolist()

@@ -264,6 +264,15 @@ def test_overlong_table_row_is_refused_from_its_first_piece(monkeypatch, capsys,
     assert err == "error: table order over 4 exceeds construction cap 4\n"
 
 
+def test_tall_table_is_read_only_one_row_past_its_width(capsys, tmp_path):
+    """A table with more rows than columns is refused from its first width + 1 rows."""
+    path = tmp_path / "tall.txt"
+    path.write_text("0 1\n1 0\n0 1\nx y\n")
+    code, out, err = run_cli(capsys, "info", f"table:@{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "got shape (3, 2)" in err
+
+
 def test_verify_catalog_24_json_digest(capsys):
     """The report stream is pinned: a refactor of the suite must not change one byte."""
     code, out, _ = run_cli(capsys, "verify", "--catalog", "24", "--json")

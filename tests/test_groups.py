@@ -1,8 +1,11 @@
 """Group construction, element arithmetic and their axioms."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sylowlab
 from sylowlab.errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
 from sylowlab.groups import (
     Permutation,
@@ -193,3 +196,26 @@ def test_conjugation_preserves_order_and_lagrange():
         assert group.order % element_order(group, x) == 0
         for t in range(group.order):
             assert element_order(group, conjugate(group, x, t)) == element_order(group, x)
+
+
+def test_memo_computes_once_and_stores_arrays_read_only():
+    group = group_from_table(cyclic_table(4))
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return np.arange(3)
+
+    first = group.memo("key", compute)
+    assert group.memo("key", compute) is first and calls == [1]
+    for arr in (first, group.conj_table(), group.central_mask()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_only_the_groups_module_names_the_group_cache():
+    """Every other module caches through FiniteGroup.memo, so the cache layout stays in one place."""
+    src = Path(sylowlab.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py")) if p.name != "groups.py" and "_cache" in p.read_text()]
+    assert offenders == []

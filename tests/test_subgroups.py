@@ -27,6 +27,7 @@ from sylowlab.subgroups import (
     is_characteristic,
     is_cyclic,
     is_normal,
+    is_normal_within,
     join,
     normalizer,
     quotient,
@@ -37,6 +38,7 @@ from sylowlab.subgroups import (
     trivial_subgroup,
     whole_group,
 )
+from sylowlab import subgroups as subgroups_module
 from sylowlab.sylow import sylow_chain
 
 from oracles import (
@@ -45,6 +47,9 @@ from oracles import (
     closure_by_products,
     conjugacy_partition,
     is_hom_bijection,
+    is_normal_by_scan,
+    is_normal_within_by_scan,
+    normalizer_by_scan,
     subgroups_by_layered_extension,
     subgroups_by_pair_closures,
     subgroups_by_subsets,
@@ -64,6 +69,18 @@ def test_mask_of_matches_the_set_of_members(dtype):
     for size in range(40):
         arr = rng.integers(0, 512, size=size).astype(dtype)
         assert _mask_of(arr) == sum(1 << int(i) for i in set(arr))
+
+
+def test_complex_set_takes_any_iterable_of_indices():
+    group = build("cyclic:12")
+    sources = [[7, 3, 1, 5, 3], {1, 3, 5, 7}, range(1, 8, 2), (x for x in (5, 1, 7, 3)),
+               np.array([7, 5, 3, 1], dtype=np.int32)]
+    for members in sources:
+        c = ComplexSet(group, members)
+        assert c.members == (1, 3, 5, 7) and c.mask == 0b10101010 and c._arr.dtype == np.int32
+    for bad in ([2**40], [-1], [12]):
+        with pytest.raises(ValueError):
+            ComplexSet(group, bad)
 
 
 def test_subgroup_set_validation():
@@ -181,6 +198,20 @@ def test_subgroup_class_ids_match_conjugacy_classes(lattice_groups):
         subgroup_class_ids(lattice_groups[0])[1] = 5
 
 
+def test_subgroup_class_ids_need_no_prior_all_subgroups(monkeypatch):
+    """The ids come from the one lattice entry, not from a side effect of all_subgroups."""
+    group = build("sym:4")
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("subgroup_class_ids went through all_subgroups")
+
+    monkeypatch.setattr(subgroups_module, "all_subgroups", no_call)
+    ids = subgroup_class_ids(group)
+    monkeypatch.undo()
+    assert subgroup_class_ids(group) is ids
+    assert positions_by_class_id(group) == subgroup_conjugacy_classes(all_subgroups(group))
+
+
 @pytest.mark.parametrize("spec", ["sym:4", "dihedral:16", "alt:5", "prod(cyclic:2,q8)", "elab:2^4"])
 def test_subgroups_within_same_with_and_without_parent_lattice(spec):
     """The standalone enumeration of A equals the parent's lattice filtered by containment in A."""
@@ -226,6 +257,24 @@ def test_normalizer_examples():
     s4 = build("sym:4")
     sylow3 = subgroups_of_order(s4, 3)[0]
     assert normalizer(sylow3).size == 6
+
+
+def test_normality_reads_one_memoised_normalizer(lattice_groups):
+    """normalizer and is_normal agree with the former table scans on every lattice subgroup."""
+    for group in lattice_groups:
+        for s in all_subgroups(group):
+            norm = normalizer(s)
+            assert normalizer(s) is norm
+            assert list(norm.members) == normalizer_by_scan(s), (group.label, s)
+            assert is_normal(s) == is_normal_by_scan(s), (group.label, s)
+
+
+def test_is_normal_within_matches_the_former_scan():
+    for _, group in standard_catalog(24):
+        subs = all_subgroups(group)
+        for a in subs:
+            for b in subs:
+                assert is_normal_within(a, b) == is_normal_within_by_scan(a, b), (group.label, a, b)
 
 
 def test_centralizer_examples():
@@ -359,13 +408,18 @@ def test_automorphisms_are_honest_and_capped():
         automorphisms(build("cyclic:25"))
 
 
-@pytest.mark.parametrize("group", [g for _, g in standard_catalog(24)], ids=lambda g: g.label)
+@pytest.mark.parametrize(
+    "group",
+    [g for _, g in standard_catalog(24)] + [build(spec) for spec in ("cyclic:48", "cyclic:64", "dihedral:64")],
+    ids=lambda g: g.label,
+)
 def test_automorphisms_match_backtracking_oracle(group):
-    """Row for row on the catalog up to 24, which includes prod(cyclic:2,q8)."""
-    autos = automorphisms(group)
+    """Row for row on the catalog up to 24, which includes prod(cyclic:2,q8), and on
+    three larger groups with long cyclic pieces."""
+    autos = automorphisms(group, cap=128)
     assert autos.dtype == np.int32 and autos.shape[1] == group.order
     assert [tuple(int(v) for v in row) for row in autos] == automorphisms_by_backtracking(group)
-    assert automorphisms(group) is autos
+    assert automorphisms(group, cap=128) is autos
     assert not autos.flags.writeable
     with pytest.raises(ValueError):
         autos[0, 0] = 1
