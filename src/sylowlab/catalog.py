@@ -198,6 +198,8 @@ def _validated(spec: GroupSpec) -> GroupSpec:
             raise ValidationError(f"dihedral order must be even and >= 2, got {args[0]}")
     if kind == "elab":
         p, k = args
+        if p >= 2**31:
+            raise ValidationError(f"elab base {p} is 2^31 or more, too large for an int32 table")
         if not is_prime(p):
             raise ValidationError(f"elab base {p} is not prime")
         if k < 1:
@@ -341,22 +343,22 @@ def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:
     if kind == "dihedral":
         _check_order(args[0], cap)
         return _build_dihedral(args[0], label)
-    if kind == "sym":
-        return _build_sym(args[0], label, cap)
-    if kind == "alt":
-        return _build_alt(args[0], label, cap)
+    if kind in ("sym", "alt"):
+        _check_degree(args[0], cap)
+        return (_build_sym if kind == "sym" else _build_alt)(args[0], label, cap)
     if kind == "q8":
         _check_order(8, cap)
         return _build_q8(label)
     if kind == "elab":
+        if args[1] > cap.bit_length():  # p^k >= 2^k > cap, refused without computing p^k
+            raise ClosureExceedsCap(f"group order {args[0]}^{args[1]} exceeds construction cap {cap}")
         _check_order(args[0] ** args[1], cap)
         return _build_elab(args[0], args[1], label)
     if kind == "prod":
         return _build_prod(build(args[0], cap), build(args[1], cap), label, cap)
     if kind == "perm":
         degree = max((pt for gen in args for cyc in gen for pt in cyc), default=1)
-        if degree > cap:
-            raise ClosureExceedsCap(f"permutation degree {degree} exceeds construction cap {cap}")
+        _check_degree(degree, cap)
         gens = [_cycles_to_permutation(gen, degree) for gen in args]
         return group_from_generators(gens, cap=cap, label=label)
     if kind == "table":
@@ -401,6 +403,11 @@ def _first_row_width(path: str, cap: int) -> int:
 def _check_order(order: int, cap: int) -> None:
     if order > cap:
         raise ClosureExceedsCap(f"group order {order} exceeds construction cap {cap}")
+
+
+def _check_degree(degree: int, cap: int) -> None:
+    if degree > cap:
+        raise ClosureExceedsCap(f"permutation degree {degree} exceeds construction cap {cap}")
 
 
 def standard_catalog(max_order: int, cap: int | None = None) -> list[tuple[str, FiniteGroup]]:

@@ -24,7 +24,6 @@ from .errors import (
     NotCoprime,
     NotNormal,
     ParentMismatch,
-    PrimeDoesNotDivideOrder,
     PrimePowerDoesNotDivideOrder,
 )
 from .groups import FiniteGroup
@@ -42,7 +41,7 @@ from .subgroups import (
     subgroup_conjugacy_classes,
     subgroups_of_order,
 )
-from .sylow import cached_sylow_chain
+from .sylow import _require_prime_divides, cached_sylow_chain
 
 
 @dataclass(frozen=True)
@@ -112,13 +111,6 @@ def count_elements_of_order(group: FiniteGroup, m: int) -> int:
     return int((group.elem_order == m).sum())
 
 
-def _require_prime_divides(group: FiniteGroup, p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if group.order % p != 0:
-        raise PrimeDoesNotDivideOrder(f"{p} does not divide {group.order}")
-
-
 def verify_divisibility(group: FiniteGroup, n: int) -> VerificationReport:
     """gcd(n, h) divides the number of solutions of x^n = identity."""
     count = count_solutions(group, n)
@@ -152,11 +144,6 @@ def verify_order_p_form(group: FiniteGroup, p: int) -> VerificationReport:
     )
 
 
-def _solution_closure(group: FiniteGroup, n: int) -> SubgroupSet:
-    """Closure of the solutions of x^n = identity, computed once per (group, n)."""
-    return group.memo(("solution_closure", n), lambda: closure_of(ComplexSet(group, _solutions(group, n))))
-
-
 def solution_subgroup(group: FiniteGroup, n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     """Solutions of x^n = identity generate a characteristic subgroup of order divisible by n.
 
@@ -166,7 +153,7 @@ def solution_subgroup(group: FiniteGroup, n: int, caps: Caps = DEFAULT_CAPS) -> 
     """
     if group.order % n != 0:
         raise ValueError(f"n={n} must divide the group order {group.order}")
-    generated = _solution_closure(group, n)
+    generated = closure_of(ComplexSet(group, _solutions(group, n)))
     size_ok = generated.size % n == 0
     if group.order <= caps.automorphisms:
         char_ok = is_characteristic(generated, caps.automorphisms)
@@ -191,7 +178,7 @@ def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSe
 
     Returns the least (r, s) with R^(r+s) = R^r, together with the unique
     group among the powers. When the identity lies in R that group is the
-    closure of R and s = 1.
+    closure of R and s = 1, certified by equality with closure_of(R).
     """
     if r_set.size == 0:
         raise ValueError("the complex must be nonempty")
@@ -212,12 +199,12 @@ def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSe
     rr = seen[key]
     ss = k - rr
     t = ((rr + ss - 1) // ss) * ss  # the multiple of s in [r, r+s)
-    stabilized = SubgroupSet(group, seq[t - 1])
-    if 0 in r_set:
-        expected = closure_of(r_set)
-        if ss != 1 or stabilized != expected:
-            raise RuntimeError("power sequence of a complex containing the identity "
-                               "did not stabilize onto its closure")
+    if 0 not in r_set:
+        return rr, ss, SubgroupSet(group, seq[t - 1])
+    stabilized = closure_of(r_set)
+    if ss != 1 or not np.array_equal(seq[t - 1], stabilized._arr):  # R^t R = R^t gives R^t R^t = R^t
+        raise RuntimeError("power sequence of a complex containing the identity "
+                           "did not stabilize onto its closure")
     return rr, ss, stabilized
 
 
@@ -227,7 +214,7 @@ def power_stabilization_check(group: FiniteGroup, n: int) -> VerificationReport:
         raise ValueError(f"n={n} must divide the group order {group.order}")
     sols = ComplexSet(group, _solutions(group, n))
     rr, ss, stabilized = complex_power_stabilization(sols)
-    expected = _solution_closure(group, n)
+    expected = closure_of(sols)
     passed = ss == 1 and stabilized == expected and stabilized.size % n == 0
     return VerificationReport(
         theorem_id="S2.power",
@@ -277,11 +264,11 @@ def verify_coprime_product(group: FiniteGroup, r: int, s: int) -> VerificationRe
 
 
 def _require_prime_power_divides(group: FiniteGroup, p: int, kappa: int) -> None:
-    if not is_prime(p):
+    if p <= group.order and not is_prime(p):  # a larger p cannot divide; no trial division
         raise ValueError(f"{p} is not prime")
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
-    if group.order % p**kappa != 0:
+    if valuation(group.order, p) < kappa:
         raise PrimePowerDoesNotDivideOrder(
             f"{p}^{kappa} does not divide {group.order}"
         )
@@ -401,7 +388,7 @@ def count_normal_within(
 
     Stated for a p-group ambient.
     """
-    if not is_prime(p):
+    if p <= pgroup.order and not is_prime(p):  # a larger p cannot divide; no trial division
         raise ValueError(f"{p} is not prime")
     if prime_power_base(pgroup.order) != p:
         raise NotAPGroup(f"ambient order {pgroup.order} is not a power of {p}")

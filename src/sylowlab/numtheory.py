@@ -1,7 +1,8 @@
 """Small integer helpers: primality, factorization, divisors, valuations.
 
-Inputs here never exceed the construction cap (a few hundred), so plain
-trial division is the right tool.
+Inputs here are orders within the construction cap (a few hundred) and
+primes the callers bound first (by the group order, or 2^31 for an elab
+base), so plain trial division is the right tool.
 """
 
 from __future__ import annotations

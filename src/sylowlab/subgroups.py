@@ -178,8 +178,9 @@ def _extend_subgroup(
 
 
 def closure_of(s: ComplexSet) -> SubgroupSet:
-    """Smallest subgroup containing the given complex (empty gives trivial)."""
-    return SubgroupSet._unchecked(s.parent, _extend_subgroup(s.parent, np.zeros(1, dtype=np.int32), s._arr))
+    """Smallest subgroup containing the given complex (empty gives trivial), memoised per complex."""
+    return s.parent.memo(("closure", s.mask), lambda: SubgroupSet._unchecked(
+        s.parent, _extend_subgroup(s.parent, np.zeros(1, dtype=np.int32), s._arr)))
 
 
 def trivial_subgroup(group: FiniteGroup) -> SubgroupSet:
@@ -191,9 +192,8 @@ def whole_group(group: FiniteGroup) -> SubgroupSet:
 
 
 def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> SubgroupSet:
-    """Subgroup generated by the given element indices."""
-    arr = np.unique(np.fromiter((int(g) for g in gens), dtype=np.int32))
-    return SubgroupSet._unchecked(group, _extend_subgroup(group, np.zeros(1, dtype=np.int32), arr))
+    """Subgroup generated by the given element indices; ValueError on one out of range."""
+    return closure_of(ComplexSet(group, gens))
 
 
 def cyclic_subgroup(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:

@@ -87,13 +87,17 @@ def _chain_members(group: FiniteGroup, p: int, lam: int) -> list[np.ndarray]:
     return members
 
 
+def _require_prime_divides(group: FiniteGroup, p: int) -> None:
+    if p <= group.order and not is_prime(p):  # a larger p cannot divide; no trial division
+        raise ValueError(f"{p} is not prime")
+    if group.order % p != 0:
+        raise PrimeDoesNotDivideOrder(f"{p} does not divide {group.order}")
+
+
 def sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
     """A tower of p-subgroups of orders p, p^2, ..., up to a full Sylow p-subgroup."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime_divides(group, p)
     lam = valuation(group.order, p)
-    if lam == 0:
-        raise PrimeDoesNotDivideOrder(f"{p} does not divide {group.order}")
     members = _chain_members(group, p, lam)
     chain = tuple(SubgroupSet._unchecked(group, arr) for arr in members)
     return SylowChain(prime=p, exponent=lam, chain=chain)
@@ -166,7 +170,9 @@ def coprime_decomposition(group: FiniteGroup, c: ElementIndex, a: int, b: int) -
 
 
 def p_part_decomposition(group: FiniteGroup, x: ElementIndex, p: int) -> CoprimeDecomposition:
-    """Split x into its p-part and its part of order prime to p."""
+    """Split x into its p-part and its part of order prime to p; a p above the group order is refused."""
+    if p > group.order:
+        raise PrimeDoesNotDivideOrder(f"{p} does not divide {group.order}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     m = int(group.elem_order[x])

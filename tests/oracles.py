@@ -77,6 +77,23 @@ def closure_by_products(group, sub_arr, gen_arr, gen_closed=False) -> np.ndarray
     return members
 
 
+def power_sequence_by_sets(group, complex_) -> tuple[int, int, frozenset[int]]:
+    """(r, s, the group among the powers) for R, R^2, R^3, ..., by frozensets and group.mul.
+
+    r and s are least with R^(r+s) = R^r. The powers from R^r on repeat with
+    period s, and the one of them that is a group is R^t, t the multiple of s
+    in [r, r+s), since R^t R^t = R^(2t) = R^t.
+    """
+    base = frozenset(int(x) for x in complex_)
+    powers = [base]
+    while (nxt := frozenset(group.mul(a, b) for a in powers[-1] for b in base)) not in powers:
+        powers.append(nxt)
+    r = powers.index(nxt) + 1
+    s = len(powers) + 1 - r
+    t = -(-r // s) * s
+    return r, s, powers[t - 1]
+
+
 def is_subgroup_subset(group, subset) -> bool:
     members = set(subset)
     if 0 not in members:

@@ -162,12 +162,31 @@ def test_verify_empty_catalog_exits_2(capsys, max_order):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_permutation_degree_above_cap_exits_2_fast(capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["info", "perm:(1 1000000)"], "permutation degree 1000000 exceeds construction cap 512"),
+    (["info", "sym:100000"], "permutation degree 100000 exceeds construction cap 512"),
+    (["info", "alt:3000"], "permutation degree 3000 exceeds construction cap 512"),
+    (["info", "elab:2^1000000000"], "group order 2^1000000000 exceeds construction cap 512"),
+    (["info", "elab:2305843009213693951^2"],
+     "elab base 2305843009213693951 is 2^31 or more, too large for an int32 table"),
+    (["sylow", "sym:4", "--prime", "2305843009213693951"], "2305843009213693951 does not divide 24"),
+], ids=["perm-degree", "sym-degree", "alt-degree", "elab-order", "elab-base", "sylow-prime"])
+def test_permutation_degree_above_cap_exits_2_fast(capsys, argv, message):
+    """Oversized inputs are refused from their parameters, before any table or trial division."""
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "info", "perm:(1 1000000)")
+    code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
-    assert err == "error: permutation degree 1000000 exceeds construction cap 512\n"
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["info", "elab:2^10"], "group order 1024 exceeds construction cap 512"),
+    (["sylow", "sym:3", "--prime", "4"], "4 is not prime"),
+])
+def test_small_refusals_keep_their_messages(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_verify_json_lines_schema(capsys):

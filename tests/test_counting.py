@@ -1,11 +1,12 @@
 """The counting checks: solution counts, congruences, kinds, fusion."""
 
 import json
+import time
 from math import gcd
 
 import pytest
 
-from sylowlab import counting, subgroups
+from sylowlab import cli, counting, subgroups
 from sylowlab.catalog import build, standard_catalog
 from sylowlab.config import Caps
 from sylowlab.counting import (
@@ -52,7 +53,7 @@ from sylowlab.subgroups import (
     trivial_subgroup,
     whole_group,
 )
-from sylowlab.sylow import sylow_chain
+from sylowlab.sylow import p_part_decomposition, sylow_chain
 
 
 def test_count_solutions_examples():
@@ -146,21 +147,35 @@ def test_power_stabilization_check_over_divisors():
             assert report.passed, report.text_line()
 
 
-def test_s2_closes_each_solution_set_twice(monkeypatch):
-    """S2.III and S2.power share one closure per n; complex_power_stabilization keeps its own."""
+def test_s2_closes_each_distinct_solution_set_once(monkeypatch):
+    """S2.III, S2.power and complex_power_stabilization share one closure per distinct solution set."""
     calls = []
+    extend = subgroups._extend_subgroup
 
-    def counted(s):
-        calls.append(s)
-        return closure_of(s)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return extend(*args, **kwargs)
 
-    monkeypatch.setattr(counting, "closure_of", counted)
+    monkeypatch.setattr(subgroups, "_extend_subgroup", counted)
     group = build("sym:4")
     reports = theorem_suite(group, selected=select_checks("S2"))
     ns = [r.params["n"] for r in reports if r.theorem_id == "S2.III"]
     assert ns == divisors(group.order)
     assert [r.params["n"] for r in reports if r.theorem_id == "S2.power"] == ns
-    assert len(calls) == 2 * len(ns)
+    # n = 4, 8 share one solution set and n = 12, 24 another: 6 distinct sets for 8 divisors
+    assert len({ComplexSet(group, counting._solutions(group, n)).mask for n in ns}) == 6
+    assert len(calls) == 6
+
+
+def test_power_stabilization_disagreeing_with_closure_is_an_engine_fault(monkeypatch, capsys):
+    """The equality with the closure stays an invariant: a wrong closure raises, and the CLI exits 3."""
+    monkeypatch.setattr(counting, "closure_of", lambda s: whole_group(s.parent))
+    s3 = build("sym:3")
+    with pytest.raises(RuntimeError):
+        complex_power_stabilization(ComplexSet(s3, [0, 1]))
+    assert cli.main(["verify", "sym:3", "--theorems", "S2.power"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: internal invariant broken: ")
 
 
 def test_verify_coprime_product():
@@ -269,6 +284,22 @@ def test_count_normal_within_spot_values():
     e9 = build("elab:3^2")
     rep = count_normal_within(e9, whole_group(e9), 3, 1)
     assert rep.counted == 4 and rep.passed
+
+
+def test_prime_arguments_above_the_order_are_refused_before_trial_division():
+    """2^61 - 1 is prime, but trial division on it would run for seconds; it cannot divide 24 or 8."""
+    big = 2**61 - 1
+    s4, d8 = build("sym:4"), build("dihedral:8")
+    start = time.perf_counter()
+    for refuse in (lambda: verify_order_p_form(s4, big), lambda: sylow_chain(s4, big),
+                   lambda: p_part_decomposition(s4, 1, big)):
+        with pytest.raises(PrimeDoesNotDivideOrder):
+            refuse()
+    with pytest.raises(PrimePowerDoesNotDivideOrder):
+        count_p_subgroups(s4, big, 1)
+    with pytest.raises(NotAPGroup):
+        count_normal_within(d8, whole_group(d8), big, 1)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_count_normal_within_errors():

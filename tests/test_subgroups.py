@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sylowlab.catalog import build, standard_catalog
-from sylowlab.counting import _solutions
+from sylowlab.counting import _solutions, complex_power_stabilization
 from sylowlab.errors import ClosureExceedsCap, EnumerationCapExceeded, NotNormal, ParentMismatch
 from sylowlab.groups import Permutation, element_order, group_from_generators
 from sylowlab.numtheory import divisors, prime_factorization, valuation
@@ -50,6 +50,7 @@ from oracles import (
     is_normal_by_scan,
     is_normal_within_by_scan,
     normalizer_by_scan,
+    power_sequence_by_sets,
     subgroups_by_layered_extension,
     subgroups_by_pair_closures,
     subgroups_by_subsets,
@@ -81,6 +82,13 @@ def test_complex_set_takes_any_iterable_of_indices():
     for bad in ([2**40], [-1], [12]):
         with pytest.raises(ValueError):
             ComplexSet(group, bad)
+
+
+def test_generated_subgroup_rejects_out_of_range_indices():
+    s3 = build("sym:3")
+    for bad in ([-1], [6], [1, 2**40]):
+        with pytest.raises(ValueError):
+            generated_subgroup(s3, bad)
 
 
 def test_subgroup_set_validation():
@@ -460,6 +468,24 @@ def test_random_permutation_groups_match_oracles(images, picks_a, picks_b):
     assert positions_by_class_id(group) == subgroup_conjugacy_classes(all_subgroups(group))
     if group.order <= 12:
         assert {frozenset(s.members) for s in all_subgroups(group)} == subgroups_by_subsets(group)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(permutations_up_to_6, st.lists(st.integers(min_value=0, max_value=23), min_size=1, max_size=6),
+       st.booleans())
+def test_complex_powers_match_the_set_oracle(images, picks, with_identity):
+    """Random complexes with and without e: (r, s) and the stabilised group equal the frozenset oracle's."""
+    try:
+        group = group_from_generators([Permutation(p) for p in images], cap=24)
+    except ClosureExceedsCap:
+        assume(False)
+    members = {x % group.order for x in picks}
+    members = members | {0} if with_identity else members - {0}
+    assume(members)
+    r, s, stab = complex_power_stabilization(ComplexSet(group, members))
+    assert (r, s, frozenset(stab.members)) == power_sequence_by_sets(group, members)
+    if with_identity:
+        assert s == 1 and frozenset(stab.members) == brute_closure(group, members)
 
 
 def test_is_characteristic():
