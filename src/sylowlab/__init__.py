@@ -42,6 +42,7 @@ from .groups import (
 from .subgroups import (
     ComplexSet,
     ConjugacyClassPartition,
+    Lattice,
     Quotient,
     SubgroupSet,
     all_subgroups,
@@ -60,6 +61,7 @@ from .subgroups import (
     is_normal,
     is_normal_within,
     join,
+    lattice,
     normalizer,
     quotient,
     subgroup_class_ids,

@@ -345,6 +345,7 @@ def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:
         return _build_dihedral(args[0], label)
     if kind in ("sym", "alt"):
         _check_degree(args[0], cap)
+        _check_factorial(args[0], kind == "alt", cap)
         return (_build_sym if kind == "sym" else _build_alt)(args[0], label, cap)
     if kind == "q8":
         _check_order(8, cap)
@@ -408,6 +409,18 @@ def _check_order(order: int, cap: int) -> None:
 def _check_degree(degree: int, cap: int) -> None:
     if degree > cap:
         raise ClosureExceedsCap(f"permutation degree {degree} exceeds construction cap {cap}")
+
+
+def _check_factorial(n: int, halved: bool, cap: int) -> None:
+    """Refuse sym:n (order n!) or alt:n (n!/2) above the cap, before any permutation is built.
+
+    The product grows one factor at a time and stops once it passes the cap.
+    """
+    order = 1
+    for k in range(3 if halved else 2, n + 1):  # n!/2 = 3 * 4 * ... * n, and alt:1, alt:2 have order 1
+        order *= k
+        if order > cap:
+            raise ClosureExceedsCap(f"group order {n}!{'/2' if halved else ''} exceeds construction cap {cap}")
 
 
 def standard_catalog(max_order: int, cap: int | None = None) -> list[tuple[str, FiniteGroup]]:

@@ -24,14 +24,7 @@ from .config import Caps, caps_from_env
 from .counting import _members_str, select_checks, theorem_suite
 from .errors import SylowLabError
 from .groups import FiniteGroup
-from .subgroups import (
-    all_subgroups,
-    center,
-    conjugacy_classes,
-    is_cyclic,
-    is_normal,
-    normalizer,
-)
+from .subgroups import center, conjugacy_classes, is_cyclic, lattice
 from .sylow import coprime_decomposition, sylow_chain
 
 
@@ -58,15 +51,15 @@ def _cmd_info(args, caps: Caps) -> int:
 
 def _cmd_subgroups(args, caps: Caps) -> int:
     group = _load_group(args.group, caps)
-    for sub in all_subgroups(group, caps.subgroups):
+    lat = lattice(group, caps.subgroups)
+    for sub, normal, norm_order in zip(lat.subs, lat.normal, lat.normalizer_order.tolist()):
         if args.order is not None and sub.size != args.order:
             continue
-        normal = is_normal(sub)
         if args.normal and not normal:
             continue
         print(
             f"order={sub.size} members={_members_str(sub._arr)} "
-            f"normal={'yes' if normal else 'no'} normalizer={normalizer(sub).size}"
+            f"normal={'yes' if normal else 'no'} normalizer={norm_order}"
         )
     return 0
 

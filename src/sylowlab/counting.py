@@ -30,16 +30,15 @@ from .groups import FiniteGroup
 from .numtheory import divisors, is_prime, prime_factorization, prime_power_base, valuation
 from .subgroups import (
     ComplexSet,
+    Lattice,
     SubgroupSet,
-    all_subgroups,
+    all_subgroups,  # unused here; perfbench's tracer test patches counting.all_subgroups
     closure_of,
     is_characteristic,
-    is_normal,
     is_normal_within,
+    lattice,
     normalizer,
-    subgroup_class_ids,
     subgroup_conjugacy_classes,
-    subgroups_of_order,
 )
 from .sylow import _require_prime_divides, cached_sylow_chain
 
@@ -277,7 +276,8 @@ def _require_prime_power_divides(group: FiniteGroup, p: int, kappa: int) -> None
 def count_p_subgroups(group: FiniteGroup, p: int, kappa: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     """The number of subgroups of order p^kappa is congruent to 1 mod p."""
     _require_prime_power_divides(group, p, kappa)
-    counted = len(subgroups_of_order(group, p**kappa, caps.subgroups))
+    rows = lattice(group, caps.subgroups).of_order(p**kappa)
+    counted = rows.stop - rows.start
     return VerificationReport(
         theorem_id="S4.I",
         group=group.label,
@@ -295,18 +295,13 @@ def count_containing(
     if p_sub.parent is not group:
         raise ParentMismatch("subgroup does not belong to the given group")
     _require_prime_power_divides(group, p, kappa)
-    if p_sub.size > 1:
-        base = prime_power_base(p_sub.size)
-        if base != p:
-            raise NotAPSubgroup(f"subgroup order {p_sub.size} is not a power of {p}")
+    if p_sub.size > 1 and prime_power_base(p_sub.size) != p:
+        raise NotAPSubgroup(f"subgroup order {p_sub.size} is not a power of {p}")
     theta = valuation(p_sub.size, p)
     if theta > kappa:
         raise ValueError(f"subgroup order {p}^{theta} exceeds target order {p}^{kappa}")
-    overgroups = [
-        b for b in subgroups_of_order(group, p**kappa, caps.subgroups)
-        if b.contains_subgroup(p_sub)
-    ]
-    counted = len(overgroups)
+    lat = lattice(group, caps.subgroups)
+    counted = int(np.count_nonzero(lat.contains[lat.of_order(p**kappa), lat.index[p_sub.mask]]))
     return VerificationReport(
         theorem_id="S4.II",
         group=group.label,
@@ -321,19 +316,13 @@ def count_containing(
 def incidence_check(group: FiniteGroup, p: int, kappa: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     """Pair counts between orders p^(kappa-1) and p^kappa agree and are 1 mod p each."""
     _require_prime_power_divides(group, p, kappa)
-    lower = subgroups_of_order(group, p ** (kappa - 1), caps.subgroups)
-    upper = subgroups_of_order(group, p**kappa, caps.subgroups)
-    incidence = np.array([[b.contains_subgroup(a) for b in upper] for a in lower], dtype=bool)
-    a_counts, b_counts = incidence.sum(axis=1).tolist(), incidence.sum(axis=0).tolist()
+    lat = lattice(group, caps.subgroups)
+    incidence = lat.contains[lat.of_order(p**kappa), lat.of_order(p ** (kappa - 1))]  # [b, a]: b contains a
+    a_counts, b_counts = incidence.sum(axis=0).tolist(), incidence.sum(axis=1).tolist()
     sum_a, sum_b = sum(a_counts), sum(b_counts)
-    ok_a = all(a % p == 1 for a in a_counts)
-    ok_b = all(b % p == 1 for b in b_counts)
-    passed = sum_a == sum_b and ok_a and ok_b
-    witnesses = []
-    if not ok_a:
-        witnesses.append(f"bad a at index {next(i for i, a in enumerate(a_counts) if a % p != 1)}")
-    if not ok_b:
-        witnesses.append(f"bad b at index {next(i for i, b in enumerate(b_counts) if b % p != 1)}")
+    bad = {side: [i for i, c in enumerate(counts) if c % p != 1] for side, counts in (("a", a_counts), ("b", b_counts))}
+    witnesses = [f"bad {side} at index {where[0]}" for side, where in bad.items() if where]
+    passed = sum_a == sum_b and not witnesses
     return VerificationReport(
         theorem_id="S4.4",
         group=group.label,
@@ -345,27 +334,16 @@ def incidence_check(group: FiniteGroup, p: int, kappa: int, caps: Caps = DEFAULT
     )
 
 
-def _split_kinds(
-    group: FiniteGroup, p: int, kappa: int, caps: Caps
-) -> tuple[list[SubgroupSet], list[SubgroupSet]]:
-    """Order-p^kappa subgroups of the first kind (p^lambda divides the normalizer order), then the rest."""
-    lam = valuation(group.order, p)
-    first: list[SubgroupSet] = []
-    second: list[SubgroupSet] = []
-    for sub in subgroups_of_order(group, p**kappa, caps.subgroups):
-        if valuation(normalizer(sub).size, p) >= lam:
-            first.append(sub)
-        else:
-            second.append(sub)
-    return first, second
-
-
 def classify_kinds(
     group: FiniteGroup, p: int, kappa: int, caps: Caps = DEFAULT_CAPS
 ) -> tuple[KindClassification, VerificationReport]:
     """Split order-p^kappa subgroups by whether p^lambda divides their normalizer order."""
     _require_prime_power_divides(group, p, kappa)
-    first, second = _split_kinds(group, p, kappa, caps)
+    lat = lattice(group, caps.subgroups)
+    rows = lat.of_order(p**kappa)
+    kind = lat.normalizer_order[rows] % p ** valuation(group.order, p) == 0  # first kind
+    first = [s for s, k in zip(lat.subs[rows], kind) if k]
+    second = [s for s, k in zip(lat.subs[rows], kind) if not k]
     report = VerificationReport(
         theorem_id="S5.I",
         group=group.label,
@@ -394,17 +372,15 @@ def count_normal_within(
         raise NotAPGroup(f"ambient order {pgroup.order} is not a power of {p}")
     if normal_sub.parent is not pgroup:
         raise ParentMismatch("subgroup does not belong to the given group")
-    if not is_normal(normal_sub):
+    lat = lattice(pgroup, caps.subgroups)
+    if not lat.normal[lat.index[normal_sub.mask]]:
         raise NotNormal("the containing subgroup must be normal")
     if kappa < 1 or normal_sub.size % p**kappa != 0:
         raise PrimePowerDoesNotDivideOrder(
             f"{p}^{kappa} does not divide the subgroup order {normal_sub.size}"
         )
-    counted = sum(
-        1
-        for b in subgroups_of_order(pgroup, p**kappa, caps.subgroups)
-        if normal_sub.contains_subgroup(b) and is_normal(b)
-    )
+    rows = lat.of_order(p**kappa)
+    counted = int(np.count_nonzero(lat.contains[lat.index[normal_sub.mask], rows] & lat.normal[rows]))
     return VerificationReport(
         theorem_id="S5.II",
         group=pgroup.label,
@@ -416,13 +392,10 @@ def count_normal_within(
     )
 
 
-def _normal_in_sylow(top: SubgroupSet, caps: Caps) -> tuple[SubgroupSet, list[SubgroupSet]]:
-    """N(P) and the subgroups normal in P, in lattice order, for a Sylow subgroup P."""
-    normals = [
-        q for q in all_subgroups(top.parent, caps.subgroups)
-        if top.contains_subgroup(q) and is_normal_within(q, top)
-    ]
-    return normalizer(top), normals
+def _normal_in_sylow(lat: Lattice, top: SubgroupSet) -> tuple[SubgroupSet, np.ndarray]:
+    """N(P) and the rows of the subgroups normal in P, in lattice order, for a Sylow subgroup P."""
+    below = np.flatnonzero(lat.contains[lat.index[top.mask]])
+    return normalizer(top), below[[is_normal_within(lat.subs[j], top) for j in below]]
 
 
 def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
@@ -435,9 +408,9 @@ def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Verifi
     h = group.order
     lam = valuation(h, p)
     top = cached_sylow_chain(group, p).top
-    class_ids = subgroup_class_ids(group, caps.subgroups)
-    conjugates = [mask for mask, c in class_ids.items() if c == class_ids[top.mask]]
-    if len(conjugates) == 1:
+    lat = lattice(group, caps.subgroups)
+    top_row = lat.index[top.mask]
+    if lat.normal[top_row]:
         return VerificationReport(
             theorem_id="S5.7",
             group=group.label,
@@ -447,13 +420,14 @@ def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Verifi
             passed=True,
             applicable=False,
         )
-    delta = max(valuation((mask & top.mask).bit_count(), p) for mask in conjugates if mask != top.mask)
+    conjugates = np.flatnonzero(lat.class_id == lat.class_id[top_row])
+    delta = max(valuation((lat.subs[j].mask & top.mask).bit_count(), p) for j in conjugates if j != top_row)
     modulus = p ** (lam - delta)
-    norm_top, normals = _normal_in_sylow(top, caps)
+    norm_top, normals = _normal_in_sylow(lat, top)
     p_prime = norm_top.size
     witnesses = []
     passed = True
-    for q_sub in normals:
+    for q_sub in (lat.subs[j] for j in normals):
         norm_q = normalizer(q_sub)
         q_prime = norm_q.size
         r_size = (norm_q.mask & norm_top.mask).bit_count()
@@ -486,27 +460,26 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
     """
     _require_prime_divides(group, p)
     lam = valuation(group.order, p)
-    norm_top, normals = _normal_in_sylow(cached_sylow_chain(group, p).top, caps)
-    class_ids = subgroup_class_ids(group, caps.subgroups)
-    local_orbits = subgroup_conjugacy_classes(normals, acting=norm_top)
-    local_ids = {normals[i].mask: c for c, orbit in enumerate(local_orbits) for i in orbit}
-    same_class: dict[int, list[SubgroupSet]] = {}
-    for q in normals:
-        same_class.setdefault(class_ids[q.mask], []).append(q)
-    witnesses: list[str] = []
-    pairs_checked = 0
-    for q0 in normals:
-        others = [q1 for q1 in same_class[class_ids[q0.mask]] if q1 is not q0]
-        pairs_checked += len(others)
-        witnesses += [
-            f"pair {_members_str(q0._arr)} ~H~ {_members_str(q1._arr)} not conjugate in the Sylow normalizer"
-            for q1 in others if local_ids[q1.mask] != local_ids[q0.mask]
-        ]
+    lat = lattice(group, caps.subgroups)
+    norm_top, rows = _normal_in_sylow(lat, cached_sylow_chain(group, p).top)
+    normals = [lat.subs[j] for j in rows]
+    local = np.zeros(len(rows), dtype=int)  # class id under N(P), per position in normals
+    for c, orbit in enumerate(subgroup_conjugacy_classes(normals, acting=norm_top)):
+        local[orbit] = c
+    ids = lat.class_id[rows]
+    fused = np.flatnonzero(np.bincount(ids)[ids] > 1)  # positions H-conjugate to another normal subgroup
+    same = ids[fused][:, None] == ids[fused]  # H-conjugate pairs, each with itself too
+    pairs_checked = int(same.sum()) - len(fused)
+    witnesses = [
+        f"pair {_members_str(normals[i]._arr)} ~H~ {_members_str(normals[k]._arr)} not conjugate in the Sylow normalizer"
+        for i, k in fused[np.argwhere(same & (local[fused][:, None] != local[fused]))]
+    ]
     # class-count corollary, per subgroup order
     for kappa in range(1, lam + 1):
-        first, _ = _split_kinds(group, p, kappa, caps)
-        h_classes = len({class_ids[s.mask] for s in first})
-        local_classes = len({local_ids[q.mask] for q in normals if q.size == p**kappa})
+        kappa_rows = lat.of_order(p**kappa)
+        first = lat.normalizer_order[kappa_rows] % p**lam == 0
+        h_classes = len(set(lat.class_id[kappa_rows][first].tolist()))
+        local_classes = len(set(local[lat.sizes[rows] == p**kappa].tolist()))
         if h_classes != local_classes:
             witnesses.append(
                 f"kappa={kappa}: {h_classes} H-classes vs {local_classes} normalizer classes"
@@ -528,10 +501,10 @@ def sylow_single_class(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) ->
     _require_prime_divides(group, p)
     h = group.order
     lam = valuation(h, p)
-    syl = subgroups_of_order(group, p**lam, caps.subgroups)
-    class_ids = subgroup_class_ids(group, caps.subgroups)
-    counted = len(syl)
-    passed = len({class_ids[s.mask] for s in syl}) == 1 and counted % p == 1 and h % counted == 0
+    lat = lattice(group, caps.subgroups)
+    rows = lat.of_order(p**lam)
+    counted = rows.stop - rows.start
+    passed = len(set(lat.class_id[rows].tolist())) == 1 and counted % p == 1 and h % counted == 0
     return VerificationReport(
         theorem_id="intro.sylow",
         group=group.label,
@@ -546,16 +519,12 @@ def sylow_chain_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> 
     """The constructed Sylow tower is nested, normal step by step, and lands on a true Sylow subgroup."""
     chain = cached_sylow_chain(group, p)
     lam = chain.exponent
+    steps = list(zip(chain.chain, chain.chain[1:]))
     ok_orders = all(sub.size == p ** (i + 1) for i, sub in enumerate(chain.chain))
-    ok_nested = all(
-        chain.chain[i + 1].contains_subgroup(chain.chain[i]) and chain.chain[i].size < chain.chain[i + 1].size
-        for i in range(lam - 1)
-    )
-    ok_normal = all(
-        is_normal_within(chain.chain[i], chain.chain[i + 1]) for i in range(lam - 1)
-    )
+    ok_nested = all((a.mask & ~b.mask) == 0 and a.size < b.size for a, b in steps)
+    ok_normal = all(is_normal_within(a, b) for a, b in steps)
     if group.order <= caps.subgroups:
-        in_lattice = chain.top in subgroups_of_order(group, p**lam, caps.subgroups)
+        in_lattice = chain.top.mask in lattice(group, caps.subgroups).index and chain.top.size == p**lam
         lattice_note = f"top found in the enumerated order-{p**lam} list: {'yes' if in_lattice else 'no'}"
     else:
         in_lattice = True
@@ -620,9 +589,11 @@ def _kappas(group, caps, p):
 
 def _p_subgroups(group, caps, p):
     """Each nontrivial p-subgroup with each exponent from its own up to the Sylow one."""
-    for sub in all_subgroups(group, caps.subgroups):
-        if sub.size > 1 and prime_power_base(sub.size) == p:
-            for kappa in range(valuation(sub.size, p), valuation(group.order, p) + 1):
+    lat = lattice(group, caps.subgroups)
+    lam = valuation(group.order, p)
+    for theta in range(1, lam + 1):
+        for sub in lat.subs[lat.of_order(p**theta)]:
+            for kappa in range(theta, lam + 1):
                 yield {"p_sub": sub, "p": p, "kappa": kappa}
 
 
@@ -631,10 +602,11 @@ def _normal_subgroups(group, caps, p):
     primes = _primes(group)
     if len(primes) != 1:
         return
-    for sub in all_subgroups(group, caps.subgroups):
-        if sub.size > 1 and is_normal(sub):
-            for kappa in range(1, valuation(sub.size, primes[0]) + 1):
-                yield {"normal_sub": sub, "p": primes[0], "kappa": kappa}
+    lat = lattice(group, caps.subgroups)
+    for row in np.flatnonzero(lat.normal)[1:]:  # row 0 is the trivial subgroup
+        sub = lat.subs[row]
+        for kappa in range(1, valuation(sub.size, primes[0]) + 1):
+            yield {"normal_sub": sub, "p": primes[0], "kappa": kappa}
 
 
 _SUITE = (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -89,14 +90,8 @@ class SubgroupSet(ComplexSet):
         obj.size = int(arr.size)
         return obj
 
-    def member_array(self) -> np.ndarray:
-        return self._arr.copy()
-
     def is_trivial(self) -> bool:
         return self.size == 1
-
-    def is_whole_group(self) -> bool:
-        return self.size == self.parent.order
 
     def contains_subgroup(self, other: "SubgroupSet") -> bool:
         return (other.mask & ~self.mask) == 0
@@ -207,40 +202,55 @@ def cyclic_subgroup(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:
     return SubgroupSet._unchecked(group, np.array(sorted(members), dtype=np.int32))
 
 
-def _prime_power_cyclics(group: FiniteGroup) -> list[tuple[int, np.ndarray, int]]:
-    """One (generator, member array, mask) per cyclic subgroup of prime-power order.
+def _prime_power_cyclics(group: FiniteGroup) -> dict[int, np.ndarray]:
+    """Every cyclic subgroup of prime-power order: bitset -> member array.
 
     Every subgroup is reachable from a chain of one-element extensions by
     prime-power-order elements, so these are the only extension candidates
     the lattice enumeration needs.
     """
-    return group.memo("pp_cyclics", lambda: _find_prime_power_cyclics(group))
-
-
-def _find_prime_power_cyclics(group: FiniteGroup) -> list[tuple[int, np.ndarray, int]]:
-    out: list[tuple[int, np.ndarray, int]] = []
-    seen: set[int] = set()
-    orders = group.elem_order
+    out: dict[int, np.ndarray] = {}
     for g in range(1, group.order):
-        if prime_power_base(int(orders[g])) is None:
-            continue
-        sub = cyclic_subgroup(group, g)
-        if sub.mask not in seen:
-            seen.add(sub.mask)
-            out.append((g, sub._arr, sub.mask))
+        if prime_power_base(int(group.elem_order[g])) is not None:
+            sub = cyclic_subgroup(group, g)
+            out.setdefault(sub.mask, sub._arr)
     return out
 
 
-def _require_lattice_cap(order: int, cap: int | None) -> None:
-    cap = DEFAULT_CAPS.subgroups if cap is None else cap
-    if order > cap:
-        raise EnumerationCapExceeded(
-            f"group order {order} exceeds the subgroup enumeration cap {cap}"
-        )
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """Every subgroup of one group, with the structure the lattice checks read.
+
+    subs is sorted by (order, member list); row i of each read-only array
+    describes subs[i]. One order is one slice of sizes, of_order(m). index
+    maps a bitset to its row; contains[i, j] says subs[i] contains subs[j].
+    class_id numbers the conjugacy classes by first occurrence; normal is
+    class_size == 1; normalizer_order is h / class_size (orbit-stabilizer),
+    so conjugates share it.
+    """
+
+    subs: tuple[SubgroupSet, ...]
+    sizes: np.ndarray
+    index: Mapping[int, int]
+    contains: np.ndarray
+    class_id: np.ndarray
+    class_size: np.ndarray
+    normal: np.ndarray
+    normalizer_order: np.ndarray
+
+    def of_order(self, m: int) -> slice:
+        """The rows of the subgroups of order m."""
+        lo, hi = self.sizes.searchsorted((m, m + 1)).tolist()
+        return slice(lo, hi)
+
+    @cached_property
+    def class_ids(self) -> Mapping[int, int]:
+        """class_id keyed by bitset, read-only."""
+        return MappingProxyType({s.mask: c for s, c in zip(self.subs, self.class_id.tolist())})
 
 
-def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSet]:
-    """Every subgroup exactly once, sorted by (order, member list).
+def lattice(group: FiniteGroup, cap: int | None = None) -> Lattice:
+    """The group's subgroup lattice, built once and memoised under "subgroups".
 
     Cyclic extension on conjugacy-class representatives (Neubueser's
     method; Holt, Eick and O'Brien, Handbook of Computational Group
@@ -249,32 +259,39 @@ def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSe
     an extension finds a new subgroup, its whole conjugation orbit joins
     the result, deduplicated on the membership bitset, but only that one
     subgroup is queued. So the found set is always a union of whole
-    classes with one queued representative each.
+    classes with one queued representative each, and each added orbit is
+    one class of the record.
 
     Nothing is missed: every subgroup L > 1 is <M, C> for a proper
     subgroup M and a cyclic prime-power C, and if M^t is the queued
     representative of M's class then extending it by C^t gives L^t,
     because <M, C>^t = <M^t, C^t>. In an abelian group every class is a
-    single subgroup, so the orbit step is skipped. Each added orbit is
-    recorded as one class for subgroup_class_ids.
+    single subgroup, so the orbit step is skipped. Raises
+    EnumerationCapExceeded above the subgroup cap.
     """
-    _require_lattice_cap(group.order, cap)
-    return list(group.memo("subgroups", lambda: _lattice(group))[0])
+    cap = DEFAULT_CAPS.subgroups if cap is None else cap
+    if group.order > cap:
+        raise EnumerationCapExceeded(
+            f"group order {group.order} exceeds the subgroup enumeration cap {cap}"
+        )
+    return group.memo("subgroups", lambda: _lattice(group))
+
+
+def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSet]:
+    """Every subgroup exactly once, sorted by (order, member list): the lattice's subs."""
+    return list(lattice(group, cap).subs)
 
 
 def subgroup_class_ids(group: FiniteGroup, cap: int | None = None) -> Mapping[int, int]:
-    """Whole-group conjugacy class id of every subgroup, keyed by bitset.
+    """The lattice's class_id keyed by bitset, read-only and cached on the record.
 
-    Two subgroups are conjugate iff their ids are equal. Ids number the
-    classes 0, 1, ... by first occurrence in all_subgroups order. The
-    mapping is read-only and cached beside the lattice.
+    Two subgroups are conjugate iff their ids are equal.
     """
-    _require_lattice_cap(group.order, cap)
-    return group.memo("subgroups", lambda: _lattice(group))[1]
+    return lattice(group, cap).class_ids
 
 
-def _lattice(group: FiniteGroup) -> tuple[list[SubgroupSet], Mapping[int, int]]:
-    """The sorted subgroup list and the class id of each, as all_subgroups describes."""
+def _lattice(group: FiniteGroup) -> Lattice:
+    """The lattice record, as lattice describes."""
     conj = None if group.is_abelian() else group.conj_table()
     trivial = np.zeros(1, dtype=np.int32)
     found: dict[int, np.ndarray] = {1: trivial}
@@ -283,7 +300,7 @@ def _lattice(group: FiniteGroup) -> tuple[list[SubgroupSet], Mapping[int, int]]:
     candidates = _prime_power_cyclics(group)
     while work:
         hmask, harr = work.popleft()
-        for _, carr, cmask in candidates:
+        for cmask, carr in candidates.items():
             if cmask & hmask == cmask:
                 continue
             karr = _extend_subgroup(group, harr, carr, gen_closed=True)
@@ -296,15 +313,29 @@ def _lattice(group: FiniteGroup) -> tuple[list[SubgroupSet], Mapping[int, int]]:
             if karr.size < group.order:
                 work.append((kmask, karr))
     subs = [SubgroupSet._unchecked(group, arr) for arr in found.values()]
-    subs.sort(key=lambda s: (s.size, s.members))
+    subs.sort(key=lambda s: (s.size, s._arr.tolist()))
+    n = len(subs)
+    sizes = np.array([s.size for s in subs])
     first: dict[int, int] = {}
-    ids = {s.mask: first.setdefault(rep_of[s.mask], len(first)) for s in subs}
-    return subs, MappingProxyType(ids)
+    class_id = np.array([first.setdefault(rep_of[s.mask], len(first)) for s in subs])
+    class_size = np.bincount(class_id)[class_id]
+    member = np.zeros((n, group.order), dtype=np.float32)
+    member[np.repeat(np.arange(n), sizes), np.concatenate([s._arr for s in subs])] = 1
+    contains = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, 256):  # |S_i & S_j| == |S_j|, in row blocks that bound the float temporary
+        contains[lo:lo + 256] = member[lo:lo + 256] @ member.T == sizes
+    normal = class_size == 1
+    normalizer_order = group.order // class_size
+    for arr in (sizes, contains, class_id, class_size, normal, normalizer_order):
+        arr.flags.writeable = False
+    index = MappingProxyType({s.mask: i for i, s in enumerate(subs)})
+    return Lattice(tuple(subs), sizes, index, contains, class_id, class_size, normal, normalizer_order)
 
 
 def subgroups_of_order(group: FiniteGroup, m: int, cap: int | None = None) -> list[SubgroupSet]:
-    """The subgroups of one given order, in enumeration order."""
-    return [s for s in all_subgroups(group, cap) if s.size == m]
+    """The subgroups of one given order, in lattice order: one slice of the record."""
+    lat = lattice(group, cap)
+    return list(lat.subs[lat.of_order(m)])
 
 
 def is_normal(a: SubgroupSet) -> bool:
@@ -492,15 +523,12 @@ def subgroup_conjugacy_classes(
         _require_same_parent(acting, subs[0])
         conj = conj[acting._arr]
     by_mask = {s.mask: i for i, s in enumerate(subs)}
-    assigned = [False] * len(subs)
     orbits: list[list[int]] = []
+    done: set[int] = set()
     for i, s in enumerate(subs):
-        if assigned[i]:
-            continue
-        orbit = sorted(by_mask[m] for m in subgroup_orbit(conj, s._arr) if m in by_mask)
-        for p in orbit:
-            assigned[p] = True
-        orbits.append(orbit)
+        if i not in done:
+            orbits.append(sorted(by_mask[m] for m in subgroup_orbit(conj, s._arr) if m in by_mask))
+            done.update(orbits[-1])
     return orbits
 
 

@@ -144,7 +144,7 @@ def subgroups_by_layered_extension(group) -> list[tuple[int, ...]]:
     candidates = _prime_power_cyclics(group)
     while work:
         hmask, harr = work.popleft()
-        for _, carr, cmask in candidates:
+        for cmask, carr in candidates.items():
             if cmask & hmask == cmask:
                 continue
             karr = closure_by_products(group, harr, carr, gen_closed=True)

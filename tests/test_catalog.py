@@ -114,6 +114,18 @@ def test_build_respects_construction_cap():
     assert build("perm:(1 2)(3 24)", cap=24).order == 2
 
 
+def test_sym_and_alt_orders_meet_the_cap_exactly():
+    """sym:n is refused when n! exceeds the cap and alt:n when n!/2 does; alt:1 and alt:2 are trivial."""
+    assert [build(f"alt:{n}", cap=2).order for n in (1, 2)] == [1, 1]
+    assert build("sym:5", cap=120).order == 120 and build("alt:5", cap=60).order == 60
+    with pytest.raises(ClosureExceedsCap, match=r"^group order 5! exceeds construction cap 119$"):
+        build("sym:5", cap=119)
+    with pytest.raises(ClosureExceedsCap, match=r"^group order 5!/2 exceeds construction cap 59$"):
+        build("alt:5", cap=59)
+    with pytest.raises(ClosureExceedsCap, match=r"^group order 4!/2 exceeds construction cap 11$"):
+        build("alt:4", cap=11)
+
+
 def test_cyclic_indexing_is_modular_addition():
     c6 = build("cyclic:6")
     assert all(c6.table[i, j] == (i + j) % 6 for i in range(6) for j in range(6))

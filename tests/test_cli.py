@@ -180,6 +180,21 @@ def test_permutation_degree_above_cap_exits_2_fast(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("alt:3000", "group order 3000!/2 exceeds construction cap 5000"),
+    ("sym:3000", "group order 3000! exceeds construction cap 5000"),
+    ("sym:8", "group order 8! exceeds construction cap 5000"),
+])
+def test_sym_and_alt_above_the_cap_by_order_exit_2_fast(monkeypatch, capsys, spec, message):
+    """Under a raised cap sym:n and alt:n are refused by n! or n!/2, before any permutation is built."""
+    monkeypatch.setenv(ENV_CAPS, "5000,,")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "info", spec)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["info", "elab:2^10"], "group order 1024 exceeds construction cap 512"),
     (["sylow", "sym:3", "--prime", "4"], "4 is not prime"),
@@ -298,6 +313,18 @@ def test_verify_catalog_24_json_digest(capsys):
     assert code == 0 and out.count("\n") == 2644
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "80896d86be7879aa08970e07a3a30498bc0dd8157074ad69c1d7a9fcfe8215b7"
+
+
+@pytest.mark.parametrize("extra, lines, digest", [
+    ((), 10687, "2b0e7b3863c8c3465cf36238c3ff0955b8dcb493d6e374b517bcb81c7505d848"),
+    (("--theorems", "intro.gcd,intro.pcount,S2.IV"), 3416,
+     "fa97592dba2a5f8f681adba6d50b2eef33647e54add8ed6012eda8af661b7010"),
+], ids=["all", "filtered"])
+def test_verify_catalog_60_json_is_the_output_contract(capsys, extra, lines, digest):
+    """The behavioural contract: verify --catalog 60 --json, whole and filtered, byte for byte."""
+    code, out, _ = run_cli(capsys, "verify", "--catalog", "60", "--json", *extra)
+    assert code == 0 and out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_caps_env_override(monkeypatch, capsys):

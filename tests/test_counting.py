@@ -1,9 +1,11 @@
 """The counting checks: solution counts, congruences, kinds, fusion."""
 
+import dataclasses
 import json
 import time
 from math import gcd
 
+import numpy as np
 import pytest
 
 from sylowlab import cli, counting, subgroups
@@ -229,6 +231,21 @@ def test_incidence_check():
     assert incidence_check(s4, 3, 1).passed
 
 
+def test_incidence_check_names_the_first_bad_position_in_each_order_slice(monkeypatch):
+    """A dropped containment shows as one bad a and one bad b, indexed inside their order slices."""
+    s4 = build("sym:4")
+    record = subgroups.lattice(s4)
+    upper, lower = record.of_order(4), record.of_order(2)
+    b, a = np.argwhere(record.contains[upper, lower])[-1]
+    contains = record.contains.copy()
+    contains[upper.start + b, lower.start + a] = False
+    monkeypatch.setattr(counting, "lattice", lambda group, cap=None: dataclasses.replace(record, contains=contains))
+    rep = incidence_check(s4, 2, 2)
+    total = int(record.contains[upper, lower].sum())
+    assert not rep.passed and rep.counted == [total - 1, total - 1]
+    assert rep.witnesses == [f"bad a at index {a}", f"bad b at index {b}"]
+
+
 def test_classify_kinds_spot_values():
     s4 = build("sym:4")
     kinds, rep = classify_kinds(s4, 2, 1)
@@ -358,9 +375,11 @@ def test_sylow_single_class():
 
 
 def test_sylow_single_class_fails_on_split_classes(monkeypatch):
-    monkeypatch.setattr(
-        counting, "subgroup_class_ids", lambda group, cap=None: {s.mask: i for i, s in enumerate(all_subgroups(group))}
-    )
+    def split_classes(group, cap=None):
+        record = subgroups.lattice(group, cap)
+        return dataclasses.replace(record, class_id=np.arange(len(record.subs)))
+
+    monkeypatch.setattr(counting, "lattice", split_classes)
     rep = sylow_single_class(build("sym:4"), 2)
     assert not rep.passed and rep.counted == 3
 

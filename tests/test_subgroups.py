@@ -29,6 +29,7 @@ from sylowlab.subgroups import (
     is_normal,
     is_normal_within,
     join,
+    lattice,
     normalizer,
     quotient,
     subgroup_class_ids,
@@ -182,7 +183,7 @@ def test_all_subgroups_is_closed_under_conjugation(lattice_groups):
         member_sets = {frozenset(s.members) for s in subs}
         conj = group.conj_table()
         for s in subs:
-            for row in conj[:, s.member_array()]:
+            for row in conj[:, s._arr]:
                 assert frozenset(row.tolist()) in member_sets, (group.label, s)
 
 
@@ -196,6 +197,27 @@ def positions_by_class_id(group):
         by_id.setdefault(ids[s.mask], []).append(i)
     assert list(by_id) == list(range(len(by_id)))  # numbered by first occurrence
     return list(by_id.values())
+
+
+def assert_record_matches_per_subgroup_routines(group):
+    """The lattice record against the per-subgroup routines and oracles it stands in for."""
+    lat = lattice(group)
+    subs = all_subgroups(group)
+    assert list(lat.subs) == subs and [lat.index[s.mask] for s in subs] == list(range(len(subs)))
+    pairs = np.array([[a.contains_subgroup(b) for b in subs] for a in subs], dtype=bool)
+    assert np.array_equal(lat.contains, pairs), group.label
+    assert lat.normal.tolist() == [is_normal_by_scan(s) for s in subs], group.label
+    assert lat.normalizer_order.tolist() == [normalizer(s).size for s in subs], group.label
+    for m in divisors(group.order) + [group.order + 1]:
+        assert list(lat.subs[lat.of_order(m)]) == [s for s in subs if s.size == m], (group.label, m)
+    arrays = (lat.sizes, lat.contains, lat.class_id, lat.class_size, lat.normal, lat.normalizer_order)
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_lattice_record_matches_per_subgroup_routines(lattice_groups):
+    """contains, normal, the normalizer orders and the order slices, on all of standard_catalog(60)."""
+    for group in lattice_groups:
+        assert_record_matches_per_subgroup_routines(group)
 
 
 def test_subgroup_class_ids_match_conjugacy_classes(lattice_groups):
@@ -466,6 +488,7 @@ def test_random_permutation_groups_match_oracles(images, picks_a, picks_b):
     assert np.array_equal(b._arr, closure_by_products(group, trivial, gens_b))
     assert np.array_equal(join(a, b)._arr, closure_by_products(group, a._arr, b._arr, gen_closed=True))
     assert positions_by_class_id(group) == subgroup_conjugacy_classes(all_subgroups(group))
+    assert_record_matches_per_subgroup_routines(group)
     if group.order <= 12:
         assert {frozenset(s.members) for s in all_subgroups(group)} == subgroups_by_subsets(group)
 
