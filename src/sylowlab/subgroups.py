@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +46,11 @@ class ComplexSet:
     __slots__ = ("parent", "_arr", "mask", "size")
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
-        arr = np.unique(np.fromiter(members, dtype=np.int64))
+        if (isinstance(members, np.ndarray) and members.ndim == 1 and members.dtype.kind in "iu"
+                and (members[1:] > members[:-1]).all()):
+            arr = members  # sorted and duplicate-free already, as counting._solutions gives
+        else:
+            arr = np.unique(np.fromiter(members, dtype=np.int64))
         if arr.size and (arr[0] < 0 or arr[-1] >= parent.order):
             raise ValueError("members out of range for parent group")
         self.parent = parent
@@ -207,7 +211,7 @@ def _prime_power_cyclics(group: FiniteGroup) -> dict[int, np.ndarray]:
 
     Every subgroup is reachable from a chain of one-element extensions by
     prime-power-order elements, so these are the only extension candidates
-    the lattice enumeration needs.
+    the general lattice pass needs.
     """
     out: dict[int, np.ndarray] = {}
     for g in range(1, group.order):
@@ -249,25 +253,44 @@ class Lattice:
         return MappingProxyType({s.mask: c for s, c in zip(self.subs, self.class_id.tolist())})
 
 
+# The most subgroups a lattice may hold. elab:2^6, the largest lattice under
+# the default caps, has 2825; at 4096 the n x n contains matrix is 16 MB.
+MAX_LATTICE_SIZE = 4096
+
+
 def lattice(group: FiniteGroup, cap: int | None = None) -> Lattice:
     """The group's subgroup lattice, built once and memoised under "subgroups".
 
     Cyclic extension on conjugacy-class representatives (Neubueser's
     method; Holt, Eick and O'Brien, Handbook of Computational Group
-    Theory, 2005). Only one subgroup per conjugacy class is queued, and it
-    is grown by every cyclic prime-power subgroup not yet inside it. When
+    Theory, 2005). Only one subgroup per conjugacy class is queued. When
     an extension finds a new subgroup, its whole conjugation orbit joins
     the result, deduplicated on the membership bitset, but only that one
     subgroup is queued. So the found set is always a union of whole
     classes with one queued representative each, and each added orbit is
-    one class of the record.
+    one class of the record. In an abelian group every class is a single
+    subgroup, so the orbit step is skipped.
 
-    Nothing is missed: every subgroup L > 1 is <M, C> for a proper
-    subgroup M and a cyclic prime-power C, and if M^t is the queued
-    representative of M's class then extending it by C^t gives L^t,
-    because <M, C>^t = <M^t, C^t>. In an abelian group every class is a
-    single subgroup, so the orbit step is skipped. Raises
-    EnumerationCapExceeded above the subgroup cap.
+    The first pass extends a queued H only by prime-index steps: by a
+    prime-power element g outside H that normalises H and has g^p in H,
+    p the prime of g's order. Then <H, g> is H, Hg, ..., Hg^(p-1), p
+    columns of the table with no closure, and every element of it
+    outside H gives the same subgroup. No solvable subgroup is missed: a
+    solvable L > 1 has a normal subgroup M of prime index p, and for x in
+    L \\ M the p-part y of x is still outside M, so L = <M, y> with y^p in
+    M and y normalising M. If M^t is the queued representative of M's
+    class, y^t extends it to L^t, because <M, y>^t = <M^t, y^t>. Every
+    subgroup this pass reaches is solvable, so it reaches the whole group
+    exactly when the group is solvable.
+
+    Otherwise (alt:5 and sym:5, say) the general pass builds the lattice
+    instead: each representative is grown by every cyclic prime-power
+    subgroup not yet inside it, one closure per extension. It misses
+    nothing in any group, since every L > 1 is <M, C> for a proper
+    subgroup M and a cyclic prime-power C, and <M, C>^t = <M^t, C^t>.
+
+    Raises EnumerationCapExceeded above the subgroup cap, and during
+    enumeration once the found set passes MAX_LATTICE_SIZE subgroups.
     """
     cap = DEFAULT_CAPS.subgroups if cap is None else cap
     if group.order > cap:
@@ -293,25 +316,99 @@ def subgroup_class_ids(group: FiniteGroup, cap: int | None = None) -> Mapping[in
 def _lattice(group: FiniteGroup) -> Lattice:
     """The lattice record, as lattice describes."""
     conj = None if group.is_abelian() else group.conj_table()
+    found, rep_of = _class_orbits(group, conj, _prime_index_extensions(group, conj))
+    if (1 << group.order) - 1 not in found:  # the group is not solvable
+        found, rep_of = _class_orbits(group, conj, _cyclic_extensions(group))
+    return _lattice_record(group, found, rep_of)
+
+
+def _class_orbits(
+    group: FiniteGroup,
+    conj: np.ndarray | None,
+    extensions: Callable[[int, np.ndarray], Iterator[np.ndarray]],
+) -> tuple[dict[int, np.ndarray], dict[int, int]]:
+    """The class-representative queue: every subgroup the extensions reach, by bitset.
+
+    extensions(hmask, harr) yields member arrays of subgroups above the
+    queued representative H. Returns the found member arrays and, for
+    each, the bitset of its class's queued representative.
+    """
     trivial = np.zeros(1, dtype=np.int32)
     found: dict[int, np.ndarray] = {1: trivial}
-    rep_of: dict[int, int] = {1: 1}  # bitset -> bitset of its class's queued representative
+    rep_of: dict[int, int] = {1: 1}
     work: deque[tuple[int, np.ndarray]] = deque([(1, trivial)])
-    candidates = _prime_power_cyclics(group)
     while work:
-        hmask, harr = work.popleft()
-        for cmask, carr in candidates.items():
-            if cmask & hmask == cmask:
-                continue
-            karr = _extend_subgroup(group, harr, carr, gen_closed=True)
+        for karr in extensions(*work.popleft()):
             kmask = _mask_of(karr)
             if kmask in found:
                 continue
             orbit = {kmask: karr} if conj is None else subgroup_orbit(conj, karr)
             found.update(orbit)
             rep_of.update(dict.fromkeys(orbit, kmask))
+            if len(found) > MAX_LATTICE_SIZE:
+                raise EnumerationCapExceeded(
+                    f"{group.label} has more than {MAX_LATTICE_SIZE} subgroups, the lattice size bound"
+                )
             if karr.size < group.order:
                 work.append((kmask, karr))
+    return found, rep_of
+
+
+def _prime_index_extensions(
+    group: FiniteGroup, conj: np.ndarray | None
+) -> Callable[[int, np.ndarray], Iterator[np.ndarray]]:
+    """The subgroups <H, g> in which H has prime index, each read off the table.
+
+    g runs over the prime-power elements outside H that normalise H and
+    have g^p in H, p the prime of g's order; the normaliser test is one
+    conj lookup for every candidate at once, skipped in an abelian group.
+    """
+    table = group.table
+    base_of = {m: prime_power_base(m) or 0 for m in np.unique(group.elem_order).tolist()}
+    base = np.array([base_of[m] for m in group.elem_order.tolist()])  # 0 off the prime-power orders
+    elems = np.flatnonzero(base)
+    base = base[elems]
+    pth = elems.astype(np.int32)
+    for k in range(2, int(base.max(initial=1)) + 1):  # pth = elems ** base, one factor at a time
+        more = base >= k
+        pth[more] = table[pth[more], elems[more]]
+
+    def extend(hmask: int, harr: np.ndarray) -> Iterator[np.ndarray]:
+        inside = np.zeros(group.order, dtype=bool)
+        inside[harr] = True
+        keep = ~inside[elems] & inside[pth]
+        cand, primes = elems[keep], base[keep]
+        if conj is not None:
+            normalises = inside[conj[np.ix_(cand, harr)]].all(axis=1)
+            cand, primes = cand[normalises], primes[normalises]
+        column = harr[:, None]
+        for g, p in zip(cand.tolist(), primes.tolist()):
+            if inside[g]:  # inside also marks every subgroup already yielded from H
+                continue
+            powers = [0, g]
+            while len(powers) < p:
+                powers.append(int(table[powers[-1], g]))
+            larr = np.sort(table[column, powers], axis=None)
+            inside[larr] = True
+            yield larr
+
+    return extend
+
+
+def _cyclic_extensions(group: FiniteGroup) -> Callable[[int, np.ndarray], Iterator[np.ndarray]]:
+    """<H, C> for every cyclic prime-power subgroup C not inside H, one closure each."""
+    candidates = _prime_power_cyclics(group)
+
+    def extend(hmask: int, harr: np.ndarray) -> Iterator[np.ndarray]:
+        for cmask, carr in candidates.items():
+            if cmask & hmask != cmask:
+                yield _extend_subgroup(group, harr, carr, gen_closed=True)
+
+    return extend
+
+
+def _lattice_record(group: FiniteGroup, found: dict[int, np.ndarray], rep_of: dict[int, int]) -> Lattice:
+    """The Lattice record of the found subgroups and their class representatives."""
     subs = [SubgroupSet._unchecked(group, arr) for arr in found.values()]
     subs.sort(key=lambda s: (s.size, s._arr.tolist()))
     n = len(subs)

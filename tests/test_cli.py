@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -193,6 +194,31 @@ def test_sym_and_alt_above_the_cap_by_order_exit_2_fast(monkeypatch, capsys, spe
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_lattice_past_the_size_bound_exits_2_fast(monkeypatch, capsys):
+    """Under a raised subgroup cap, elab:2^7 (29,212 subgroups) is refused before its contains matrix exists."""
+    monkeypatch.setenv(ENV_CAPS, ",128,")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "elab:2^7")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: elab:2^7 has more than 4096 subgroups, the lattice size bound\n"
+
+
+def test_lattice_past_the_size_bound_is_refused_within_400_mb():
+    """The refusal needs no n x n contains matrix: it fits in an address space below that matrix's 853 MB."""
+    limit = 400 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "sylowlab.cli", "verify", "elab:2^7"],
+        capture_output=True, env={**env_with_src(), ENV_CAPS: ",128,"}, preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == b"error: elab:2^7 has more than 4096 subgroups, the lattice size bound\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -218,6 +218,22 @@ def test_count_containing():
         count_containing(s4, subgroups_of_order(s4, 6)[0], 2, 3)
 
 
+@pytest.mark.parametrize("spec", ["sym:4", "dihedral:16", "prod(cyclic:2,q8)", "alt:5", "elab:3^3"])
+def test_suite_s4_ii_reports_equal_the_public_count_containing(spec):
+    """S4.II runs count_containing's core on pre-validated arguments; its reports are the public function's."""
+    group = build(spec)
+    lat = subgroups.lattice(group)
+    expected = [
+        count_containing(group, sub, p, kappa)
+        for p in sorted(prime_factorization(group.order))
+        for theta in range(1, valuation(group.order, p) + 1)
+        for sub in lat.subs[lat.of_order(p**theta)]
+        for kappa in range(theta, valuation(group.order, p) + 1)
+    ]
+    got = theorem_suite(group, selected=frozenset({"S4.II"}))
+    assert got == expected and len(got) > 0
+
+
 def test_incidence_check():
     s4 = build("sym:4")
     rep = incidence_check(s4, 2, 2)

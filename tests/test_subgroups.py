@@ -11,9 +11,14 @@ from sylowlab.errors import ClosureExceedsCap, EnumerationCapExceeded, NotNormal
 from sylowlab.groups import Permutation, element_order, group_from_generators
 from sylowlab.numtheory import divisors, prime_factorization, valuation
 from sylowlab.subgroups import (
+    MAX_LATTICE_SIZE,
     ComplexSet,
     SubgroupSet,
+    _class_orbits,
+    _cyclic_extensions,
+    _lattice_record,
     _mask_of,
+    _prime_index_extensions,
     all_subgroups,
     automorphisms,
     center,
@@ -83,6 +88,24 @@ def test_complex_set_takes_any_iterable_of_indices():
     for bad in ([2**40], [-1], [12]):
         with pytest.raises(ValueError):
             ComplexSet(group, bad)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:60", "prod(q8,elab:2^6)"])
+def test_complex_set_sorted_array_fast_path_matches_the_general_path(spec):
+    """A sorted, duplicate-free index array skips the sort; the record is the same as from a list."""
+    group = build(spec)
+    for n in divisors(group.order):
+        sols = _solutions(group, n)
+        fast, general = ComplexSet(group, sols), ComplexSet(group, sols.tolist())
+        assert np.array_equal(fast._arr, general._arr) and fast._arr.dtype == np.int32
+        assert (fast.mask, fast.size) == (general.mask, general.size)
+        assert fast._arr is not sols
+    for bad in (np.array([0, group.order], dtype=np.int64), np.array([-1, 0], dtype=np.int32),
+                np.array([0, 2**40], dtype=np.int64)):
+        with pytest.raises(ValueError):
+            ComplexSet(group, bad)
+    unsorted = ComplexSet(group, np.array([3, 1, 3, 0], dtype=np.int32))
+    assert unsorted.members == (0, 1, 3)
 
 
 def test_generated_subgroup_rejects_out_of_range_indices():
@@ -177,6 +200,84 @@ def test_all_subgroups_matches_layered_extension_oracle(lattice_groups):
         assert got == subgroups_by_layered_extension(group), group.label
 
 
+def general_lattice(group):
+    """The lattice record built by the general pass alone, as for a non-solvable group."""
+    conj = None if group.is_abelian() else group.conj_table()
+    return _lattice_record(group, *_class_orbits(group, conj, _cyclic_extensions(group)))
+
+
+def prime_index_found(group):
+    """The bitsets the prime-index pass alone reaches."""
+    conj = None if group.is_abelian() else group.conj_table()
+    found, _ = _class_orbits(group, conj, _prime_index_extensions(group, conj))
+    return set(found)
+
+
+def assert_same_record(a, b, label):
+    assert [s.mask for s in a.subs] == [s.mask for s in b.subs], label
+    assert [s._arr.tolist() for s in a.subs] == [s._arr.tolist() for s in b.subs], label
+    assert dict(a.index) == dict(b.index), label
+    for name in ("sizes", "contains", "class_id", "class_size", "normal", "normalizer_order"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), (label, name)
+
+
+# The pgroups benchmark groups that standard_catalog(60) lacks.
+EXTRA_PGROUPS = ["cyclic:64", "dihedral:64", "perm:(1 4 7)(2 5 8)(3 6 9);(4 5 6)(7 9 8)",
+                 "perm:(1 2 3 4 5 6 7 8 9);(2 8 5)(3 6 9)"]
+
+
+def test_prime_index_pass_matches_the_general_pass(lattice_groups):
+    """Every solvable group: the prime-index pass reaches the whole group, and the record is the general pass's."""
+    groups = lattice_groups + [build(spec) for spec in EXTRA_PGROUPS]
+    non_solvable = []
+    for group in groups:
+        if (1 << group.order) - 1 not in prime_index_found(group):
+            non_solvable.append(group.label)
+        assert_same_record(lattice(group), general_lattice(group), group.label)
+    assert non_solvable == ["alt:5"]
+
+
+def test_solvable_lattices_make_no_closure_call(monkeypatch):
+    """A solvable group's lattice is read off the table; only a non-solvable one reaches the closure."""
+    calls = []
+    extend = subgroups_module._extend_subgroup
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].label)
+        return extend(*args, **kwargs)
+
+    monkeypatch.setattr(subgroups_module, "_extend_subgroup", counted)
+    for spec in ["sym:4", "dihedral:60", "prod(cyclic:2,q8)", "elab:2^4", "alt:5"]:
+        lattice(build(spec))
+    assert set(calls) == {"alt:5"}
+
+
+@pytest.mark.parametrize("spec, count", [("alt:5", 59), ("sym:5", 156), ("prod(alt:5,cyclic:2)", 164)])
+def test_non_solvable_groups_take_the_general_pass(spec, count):
+    """The prime-index pass stops short of the whole group, and the record comes from the general pass."""
+    group = build(spec)
+    lat = lattice(group, cap=group.order)
+    reached = prime_index_found(group)
+    assert (1 << group.order) - 1 not in reached and reached < set(lat.index)
+    assert len(lat.subs) == count
+    assert_same_record(lat, general_lattice(group), spec)
+    assert_record_matches_per_subgroup_routines(group, cap=group.order)
+
+
+@pytest.mark.parametrize("spec, count", [("elab:2^4", 67), ("dihedral:60", 80), ("alt:5", 59)])
+def test_lattice_size_bound_refuses_during_enumeration(monkeypatch, spec, count):
+    """Both passes refuse once the found set passes the bound, and a lattice at the bound is kept."""
+    monkeypatch.setattr(subgroups_module, "MAX_LATTICE_SIZE", count - 1)
+    with pytest.raises(EnumerationCapExceeded, match=f"more than {count - 1} subgroups"):
+        lattice(build(spec))
+    monkeypatch.setattr(subgroups_module, "MAX_LATTICE_SIZE", count)
+    assert len(lattice(build(spec)).subs) == count
+
+
+def test_lattice_size_bound_is_above_every_default_cap_lattice():
+    assert len(lattice(build("elab:2^6")).subs) == 2825 < MAX_LATTICE_SIZE
+
+
 def test_all_subgroups_is_closed_under_conjugation(lattice_groups):
     for group in lattice_groups:
         subs = all_subgroups(group)
@@ -199,10 +300,10 @@ def positions_by_class_id(group):
     return list(by_id.values())
 
 
-def assert_record_matches_per_subgroup_routines(group):
+def assert_record_matches_per_subgroup_routines(group, cap=None):
     """The lattice record against the per-subgroup routines and oracles it stands in for."""
-    lat = lattice(group)
-    subs = all_subgroups(group)
+    lat = lattice(group, cap)
+    subs = all_subgroups(group, cap)
     assert list(lat.subs) == subs and [lat.index[s.mask] for s in subs] == list(range(len(subs)))
     pairs = np.array([[a.contains_subgroup(b) for b in subs] for a in subs], dtype=bool)
     assert np.array_equal(lat.contains, pairs), group.label
@@ -489,6 +590,7 @@ def test_random_permutation_groups_match_oracles(images, picks_a, picks_b):
     assert np.array_equal(join(a, b)._arr, closure_by_products(group, a._arr, b._arr, gen_closed=True))
     assert positions_by_class_id(group) == subgroup_conjugacy_classes(all_subgroups(group))
     assert_record_matches_per_subgroup_routines(group)
+    assert_same_record(lattice(group), general_lattice(group), group.label)
     if group.order <= 12:
         assert {frozenset(s.members) for s in all_subgroups(group)} == subgroups_by_subsets(group)
 
