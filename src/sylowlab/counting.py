@@ -27,7 +27,7 @@ from .errors import (
     PrimePowerDoesNotDivideOrder,
 )
 from .groups import FiniteGroup
-from .numtheory import divisors, is_prime, prime_factorization, prime_power_base, valuation
+from .numtheory import divisors, prime_factorization, prime_power_base, valuation
 from .subgroups import (
     ComplexSet,
     Lattice,
@@ -40,7 +40,7 @@ from .subgroups import (
     normalizer,
     subgroup_conjugacy_classes,
 )
-from .sylow import _require_prime_divides, cached_sylow_chain
+from .sylow import _require_prime, _require_prime_divides, sylow_chain
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,7 @@ def verify_coprime_product(group: FiniteGroup, r: int, s: int) -> VerificationRe
 
 
 def _require_prime_power_divides(group: FiniteGroup, p: int, kappa: int) -> None:
-    if p <= group.order and not is_prime(p):  # a larger p cannot divide; no trial division
-        raise ValueError(f"{p} is not prime")
+    _require_prime(group, p)
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     if valuation(group.order, p) < kappa:
@@ -377,8 +376,7 @@ def count_normal_within(
 
     Stated for a p-group ambient.
     """
-    if p <= pgroup.order and not is_prime(p):  # a larger p cannot divide; no trial division
-        raise ValueError(f"{p} is not prime")
+    _require_prime(pgroup, p)
     if prime_power_base(pgroup.order) != p:
         raise NotAPGroup(f"ambient order {pgroup.order} is not a power of {p}")
     if normal_sub.parent is not pgroup:
@@ -418,7 +416,7 @@ def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Verifi
     _require_prime_divides(group, p)
     h = group.order
     lam = valuation(h, p)
-    top = cached_sylow_chain(group, p).top
+    top = sylow_chain(group, p).top
     lat = lattice(group, caps.subgroups)
     top_row = lat.index[top.mask]
     if lat.normal[top_row]:
@@ -472,7 +470,7 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
     _require_prime_divides(group, p)
     lam = valuation(group.order, p)
     lat = lattice(group, caps.subgroups)
-    norm_top, rows = _normal_in_sylow(lat, cached_sylow_chain(group, p).top)
+    norm_top, rows = _normal_in_sylow(lat, sylow_chain(group, p).top)
     normals = [lat.subs[j] for j in rows]
     local = np.zeros(len(rows), dtype=int)  # class id under N(P), per position in normals
     for c, orbit in enumerate(subgroup_conjugacy_classes(normals, acting=norm_top)):
@@ -528,7 +526,7 @@ def sylow_single_class(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) ->
 
 def sylow_chain_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     """The constructed Sylow tower is nested, normal step by step, and lands on a true Sylow subgroup."""
-    chain = cached_sylow_chain(group, p)
+    chain = sylow_chain(group, p)
     lam = chain.exponent
     steps = list(zip(chain.chain, chain.chain[1:]))
     ok_orders = all(sub.size == p ** (i + 1) for i, sub in enumerate(chain.chain))

@@ -128,9 +128,7 @@ def _require_same_parent(a, b) -> None:
         raise ParentMismatch("operands live in different parent groups")
 
 
-def _extend_subgroup(
-    group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarray, gen_closed: bool = False
-) -> np.ndarray:
+def _extend_subgroup(group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarray) -> np.ndarray:
     """Closure of an already-closed subgroup H plus extra generators.
 
     Dimino-style growth by one irredundant generator at a time (Butler,
@@ -144,17 +142,12 @@ def _extend_subgroup(
     filtered through the boolean membership vector. This gives <H, g>:
     the identity is in H, and in a finite group g^-1 is a positive power
     of g, so products of multipliers reach every element.
-
-    gen_closed says the generators are themselves a subgroup K; in an
-    abelian group the result is then the product HK.
     """
     table = group.table
     present = np.zeros(group.order, dtype=bool)
     present[sub_arr] = True
     if present[gen_arr].all():
         return sub_arr
-    if gen_closed and group.is_abelian():
-        return np.unique(table[np.ix_(sub_arr, gen_arr)]).astype(np.int32)
     multipliers = sub_arr[sub_arr != 0]
     members = sub_arr
     for g in gen_arr:
@@ -206,21 +199,6 @@ def cyclic_subgroup(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:
     return SubgroupSet._unchecked(group, np.array(sorted(members), dtype=np.int32))
 
 
-def _prime_power_cyclics(group: FiniteGroup) -> dict[int, np.ndarray]:
-    """Every cyclic subgroup of prime-power order: bitset -> member array.
-
-    Every subgroup is reachable from a chain of one-element extensions by
-    prime-power-order elements, so these are the only extension candidates
-    the general lattice pass needs.
-    """
-    out: dict[int, np.ndarray] = {}
-    for g in range(1, group.order):
-        if prime_power_base(int(group.elem_order[g])) is not None:
-            sub = cyclic_subgroup(group, g)
-            out.setdefault(sub.mask, sub._arr)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """Every subgroup of one group, with the structure the lattice checks read.
@@ -261,33 +239,34 @@ MAX_LATTICE_SIZE = 4096
 def lattice(group: FiniteGroup, cap: int | None = None) -> Lattice:
     """The group's subgroup lattice, built once and memoised under "subgroups".
 
-    Cyclic extension on conjugacy-class representatives (Neubueser's
-    method; Holt, Eick and O'Brien, Handbook of Computational Group
-    Theory, 2005). Only one subgroup per conjugacy class is queued. When
-    an extension finds a new subgroup, its whole conjugation orbit joins
-    the result, deduplicated on the membership bitset, but only that one
-    subgroup is queued. So the found set is always a union of whole
-    classes with one queued representative each, and each added orbit is
-    one class of the record. In an abelian group every class is a single
-    subgroup, so the orbit step is skipped.
+    Extension on conjugacy-class representatives (Neubueser's method;
+    Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+    Only one subgroup per conjugacy class is queued. When an extension
+    finds a new subgroup, its whole conjugation orbit joins the result,
+    deduplicated on the membership bitset, but only that one subgroup is
+    queued. So the found set is always a union of whole classes with one
+    queued representative each, and each added orbit is one class of the
+    record. In an abelian group every class is a single subgroup, so the
+    orbit step is skipped.
 
-    The first pass extends a queued H only by prime-index steps: by a
-    prime-power element g outside H that normalises H and has g^p in H,
-    p the prime of g's order. Then <H, g> is H, Hg, ..., Hg^(p-1), p
-    columns of the table with no closure, and every element of it
-    outside H gives the same subgroup. No solvable subgroup is missed: a
-    solvable L > 1 has a normal subgroup M of prime index p, and for x in
-    L \\ M the p-part y of x is still outside M, so L = <M, y> with y^p in
-    M and y normalising M. If M^t is the queued representative of M's
-    class, y^t extends it to L^t, because <M, y>^t = <M^t, y^t>. Every
-    subgroup this pass reaches is solvable, so it reaches the whole group
-    exactly when the group is solvable.
+    A queued H is extended by every prime-power element g outside H with
+    g^p in H, p the prime of g's order. That misses no subgroup. Every
+    L > 1 has a maximal subgroup M, and L = <M, g> for every g in L \\ M.
+    One such g has prime-power order and g^p in M: take x in L \\ M; x is
+    the product of its prime-power parts, so one of them, y, lies outside
+    M; then g is the last power y^(p^i) still outside M. If M^t is the
+    queued representative of M's class, g^t extends it to L^t, because
+    <M, g>^t = <M^t, g^t>.
 
-    Otherwise (alt:5 and sym:5, say) the general pass builds the lattice
-    instead: each representative is grown by every cyclic prime-power
-    subgroup not yet inside it, one closure per extension. It misses
-    nothing in any group, since every L > 1 is <M, C> for a proper
-    subgroup M and a cyclic prime-power C, and <M, C>^t = <M^t, C^t>.
+    If g normalises H, H has index p in <H, g> = H, Hg, ..., Hg^(p-1),
+    read off p columns of the table. Otherwise <H, g> takes one closure.
+    The first round takes only the table steps. A solvable L > 1 has a
+    normal M of prime index, and then the g above normalises M, so the
+    argument holds with such an M; and every subgroup this round reaches
+    is solvable. So it reaches the whole group exactly when the group is
+    solvable, and then the lattice is complete. Otherwise a second round
+    re-queues every class representative found so far, with closures on,
+    and finds the rest. Nothing starts over.
 
     Raises EnumerationCapExceeded above the subgroup cap, and during
     enumeration once the found set passes MAX_LATTICE_SIZE subgroups.
@@ -316,29 +295,33 @@ def subgroup_class_ids(group: FiniteGroup, cap: int | None = None) -> Mapping[in
 def _lattice(group: FiniteGroup) -> Lattice:
     """The lattice record, as lattice describes."""
     conj = None if group.is_abelian() else group.conj_table()
-    found, rep_of = _class_orbits(group, conj, _prime_index_extensions(group, conj))
+    extend = _extensions(group, conj)
+    found: dict[int, np.ndarray] = {1: np.zeros(1, dtype=np.int32)}
+    rep_of: dict[int, int] = {1: 1}
+    _class_orbits(group, conj, found, rep_of, [1], lambda harr: extend(harr, False))
     if (1 << group.order) - 1 not in found:  # the group is not solvable
-        found, rep_of = _class_orbits(group, conj, _cyclic_extensions(group))
+        _class_orbits(group, conj, found, rep_of, dict.fromkeys(rep_of.values()), lambda harr: extend(harr, True))
     return _lattice_record(group, found, rep_of)
 
 
 def _class_orbits(
     group: FiniteGroup,
     conj: np.ndarray | None,
-    extensions: Callable[[int, np.ndarray], Iterator[np.ndarray]],
-) -> tuple[dict[int, np.ndarray], dict[int, int]]:
-    """The class-representative queue: every subgroup the extensions reach, by bitset.
+    found: dict[int, np.ndarray],
+    rep_of: dict[int, int],
+    queue: Iterable[int],
+    extensions: Callable[[np.ndarray], Iterator[np.ndarray]],
+) -> None:
+    """The class-representative queue, run from the queued bitsets until it is empty.
 
-    extensions(hmask, harr) yields member arrays of subgroups above the
-    queued representative H. Returns the found member arrays and, for
-    each, the bitset of its class's queued representative.
+    extensions(harr) yields member arrays of subgroups above the queued
+    representative H. Every new one joins found, bitset -> members, with
+    its conjugation orbit, and rep_of maps each of them to the bitset of
+    the one queued.
     """
-    trivial = np.zeros(1, dtype=np.int32)
-    found: dict[int, np.ndarray] = {1: trivial}
-    rep_of: dict[int, int] = {1: 1}
-    work: deque[tuple[int, np.ndarray]] = deque([(1, trivial)])
+    work = deque(queue)
     while work:
-        for karr in extensions(*work.popleft()):
+        for karr in extensions(found[work.popleft()]):
             kmask = _mask_of(karr)
             if kmask in found:
                 continue
@@ -350,18 +333,18 @@ def _class_orbits(
                     f"{group.label} has more than {MAX_LATTICE_SIZE} subgroups, the lattice size bound"
                 )
             if karr.size < group.order:
-                work.append((kmask, karr))
-    return found, rep_of
+                work.append(kmask)
 
 
-def _prime_index_extensions(
-    group: FiniteGroup, conj: np.ndarray | None
-) -> Callable[[int, np.ndarray], Iterator[np.ndarray]]:
-    """The subgroups <H, g> in which H has prime index, each read off the table.
+def _extensions(group: FiniteGroup, conj: np.ndarray | None) -> Callable[[np.ndarray, bool], Iterator[np.ndarray]]:
+    """extend(harr, closures): the subgroups <H, g>, g prime-power outside H with g^p in H.
 
-    g runs over the prime-power elements outside H that normalise H and
-    have g^p in H, p the prime of g's order; the normaliser test is one
-    conj lookup for every candidate at once, skipped in an abelian group.
+    p is the prime of g's order. The normaliser test is one conj lookup
+    for every candidate at once, skipped in an abelian group. A g that
+    normalises H gives H, Hg, ..., Hg^(p-1) off the table, and every
+    element of it outside H gives the same subgroup. Any other g is
+    skipped unless closures is set; then <H, g> is one closure, and the
+    other generators of <g>, its powers outside H, give the same subgroup.
     """
     table = group.table
     base_of = {m: prime_power_base(m) or 0 for m in np.unique(group.elem_order).tolist()}
@@ -373,36 +356,28 @@ def _prime_index_extensions(
         more = base >= k
         pth[more] = table[pth[more], elems[more]]
 
-    def extend(hmask: int, harr: np.ndarray) -> Iterator[np.ndarray]:
+    def extend(harr: np.ndarray, closures: bool) -> Iterator[np.ndarray]:
         inside = np.zeros(group.order, dtype=bool)
         inside[harr] = True
         keep = ~inside[elems] & inside[pth]
         cand, primes = elems[keep], base[keep]
-        if conj is not None:
-            normalises = inside[conj[np.ix_(cand, harr)]].all(axis=1)
-            cand, primes = cand[normalises], primes[normalises]
+        normalises = np.ones(cand.size, dtype=bool) if conj is None else inside[conj[np.ix_(cand, harr)]].all(axis=1)
+        if not closures:
+            cand, primes, normalises = cand[normalises], primes[normalises], normalises[normalises]
         column = harr[:, None]
-        for g, p in zip(cand.tolist(), primes.tolist()):
-            if inside[g]:  # inside also marks every subgroup already yielded from H
+        for g, p, normal in zip(cand.tolist(), primes.tolist(), normalises.tolist()):
+            if inside[g]:  # inside also marks the elements covered by a subgroup already yielded
                 continue
-            powers = [0, g]
-            while len(powers) < p:
-                powers.append(int(table[powers[-1], g]))
-            larr = np.sort(table[column, powers], axis=None)
-            inside[larr] = True
+            if normal:
+                powers = [0, g]
+                while len(powers) < p:
+                    powers.append(int(table[powers[-1], g]))
+                larr = np.sort(table[column, powers], axis=None)
+                inside[larr] = True
+            else:
+                larr = _extend_subgroup(group, harr, np.array([g]))
+                inside[cyclic_subgroup(group, g)._arr] = True
             yield larr
-
-    return extend
-
-
-def _cyclic_extensions(group: FiniteGroup) -> Callable[[int, np.ndarray], Iterator[np.ndarray]]:
-    """<H, C> for every cyclic prime-power subgroup C not inside H, one closure each."""
-    candidates = _prime_power_cyclics(group)
-
-    def extend(hmask: int, harr: np.ndarray) -> Iterator[np.ndarray]:
-        for cmask, carr in candidates.items():
-            if cmask & hmask != cmask:
-                yield _extend_subgroup(group, harr, carr, gen_closed=True)
 
     return extend
 
@@ -518,7 +493,7 @@ def intersect(a: SubgroupSet, b: SubgroupSet) -> SubgroupSet:
 def join(a: SubgroupSet, b: SubgroupSet) -> SubgroupSet:
     """Subgroup generated by the union."""
     _require_same_parent(a, b)
-    return SubgroupSet._unchecked(a.parent, _extend_subgroup(a.parent, a._arr, b._arr, gen_closed=True))
+    return SubgroupSet._unchecked(a.parent, _extend_subgroup(a.parent, a._arr, b._arr))
 
 
 def conjugate_subgroup(a: SubgroupSet, t: ElementIndex) -> SubgroupSet:
@@ -640,6 +615,10 @@ def automorphisms(group: FiniteGroup, cap: int | None = None) -> np.ndarray:
     cyclic piece). A row survives if it respects every generator edge and
     has trivial kernel. The result is a cached, read-only (n_aut, order)
     int32 array in ascending lexicographic order.
+
+    Raises EnumerationCapExceeded above the automorphism cap, and during
+    the search once a level would hold more than MAX_AUTOMORPHISM_MAPS
+    partial maps.
     """
     cap = DEFAULT_CAPS.automorphisms if cap is None else cap
     if group.order > cap:
@@ -647,6 +626,12 @@ def automorphisms(group: FiniteGroup, cap: int | None = None) -> np.ndarray:
             f"group order {group.order} exceeds the automorphism cap {cap}"
         )
     return group.memo("automorphisms", lambda: _automorphism_search(group))
+
+
+# The most partial maps one level of the automorphism search may hold. The
+# largest level under the default caps holds 20,160 (elab:2^4); elab:2^5
+# would need 624,960 at its fourth level and 9,999,360 at its fifth.
+MAX_AUTOMORPHISM_MAPS = 1 << 18
 
 
 def _automorphism_search(group: FiniteGroup) -> np.ndarray:
@@ -660,9 +645,16 @@ def _automorphism_search(group: FiniteGroup) -> np.ndarray:
         g = int(np.argmin(inside))
         gens.append(g)
         members = np.flatnonzero(inside)
+        cands = np.flatnonzero(orders == orders[g])
+        # every map is injective on H and keeps orders, so each row has the same number of free candidates
+        expanded = len(maps) * (cands.size - int(np.count_nonzero(orders[members] == orders[g])))
+        if expanded > MAX_AUTOMORPHISM_MAPS:
+            raise EnumerationCapExceeded(
+                f"{group.label} needs more than {MAX_AUTOMORPHISM_MAPS} partial automorphism maps, "
+                "the automorphism search bound"
+            )
         free = np.ones((len(maps), h), dtype=bool)
         free[np.arange(len(maps))[:, None], maps[:, members]] = False
-        cands = np.flatnonzero(orders == orders[g])
         rows, picks = np.nonzero(free[:, cands])
         maps = maps[rows]
         maps[:, g] = cands[picks]

@@ -87,25 +87,26 @@ def _chain_members(group: FiniteGroup, p: int, lam: int) -> list[np.ndarray]:
     return members
 
 
-def _require_prime_divides(group: FiniteGroup, p: int) -> None:
+def _require_prime(group: FiniteGroup, p: int) -> None:
     if p <= group.order and not is_prime(p):  # a larger p cannot divide; no trial division
         raise ValueError(f"{p} is not prime")
+
+
+def _require_prime_divides(group: FiniteGroup, p: int) -> None:
+    _require_prime(group, p)
     if group.order % p != 0:
         raise PrimeDoesNotDivideOrder(f"{p} does not divide {group.order}")
 
 
 def sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
-    """A tower of p-subgroups of orders p, p^2, ..., up to a full Sylow p-subgroup."""
+    """A tower of p-subgroups of orders p, p^2, ..., up to a full Sylow p-subgroup, memoised per prime."""
     _require_prime_divides(group, p)
     lam = valuation(group.order, p)
-    members = _chain_members(group, p, lam)
-    chain = tuple(SubgroupSet._unchecked(group, arr) for arr in members)
-    return SylowChain(prime=p, exponent=lam, chain=chain)
-
-
-def cached_sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
-    """sylow_chain(group, p), built once per prime and kept in the group's cache."""
-    return group.memo(("sylow_chain", p), lambda: sylow_chain(group, p))
+    return group.memo(("sylow_chain", p), lambda: SylowChain(
+        prime=p,
+        exponent=lam,
+        chain=tuple(SubgroupSet._unchecked(group, arr) for arr in _chain_members(group, p, lam)),
+    ))
 
 
 def chief_series(pgroup: FiniteGroup) -> ChiefSeries:
@@ -173,8 +174,7 @@ def p_part_decomposition(group: FiniteGroup, x: ElementIndex, p: int) -> Coprime
     """Split x into its p-part and its part of order prime to p; a p above the group order is refused."""
     if p > group.order:
         raise PrimeDoesNotDivideOrder(f"{p} does not divide {group.order}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(group, p)
     m = int(group.elem_order[x])
     a = p ** valuation(m, p)
     return coprime_decomposition(group, x, a, m // a)

@@ -3,11 +3,14 @@
 Everything here is deliberately naive: plain Python loops over the raw
 multiplication table, no reuse of the engine's closure or lattice code.
 The exceptions are closure_by_products, subgroups_by_layered_extension,
-automorphisms_by_backtracking, elab_by_digit_array, tower_by_quotients,
-table_by_row_index, is_normal_by_scan and is_normal_within_by_scan, the
-engine's former closure, lattice enumerator, automorphism search, elab
+lattice_by_cyclic_extension, automorphisms_by_backtracking,
+elab_by_digit_array, tower_by_quotients, table_by_row_index,
+is_normal_by_scan and is_normal_within_by_scan, the engine's former
+closure, two former lattice enumerators, automorphism search, elab
 builder, Sylow tower, generator-table builder and normality scans, kept as
-references for the code that replaced them.
+references for the code that replaced them. lattice_by_cyclic_extension,
+the former general lattice pass, builds its record with the engine's
+_lattice_record, so a comparison of records checks the enumeration.
 """
 
 from __future__ import annotations
@@ -18,15 +21,16 @@ from itertools import combinations
 import numpy as np
 
 from sylowlab.groups import Permutation
-from sylowlab.numtheory import valuation
+from sylowlab.numtheory import prime_power_base, valuation
 from sylowlab.subgroups import (
     SubgroupSet,
+    _lattice_record,
     _mask_of,
-    _prime_power_cyclics,
     as_group,
     centralizer,
     cyclic_subgroup,
     quotient,
+    subgroup_orbit,
 )
 
 
@@ -129,19 +133,31 @@ def subgroups_by_pair_closures(group) -> set[frozenset[int]]:
     return out
 
 
+def prime_power_cyclics(group) -> dict[int, np.ndarray]:
+    """Every cyclic subgroup of prime-power order: bitset -> member array.
+
+    The engine's former candidate list for the general lattice pass.
+    """
+    out: dict[int, np.ndarray] = {}
+    for g in range(1, group.order):
+        if prime_power_base(int(group.elem_order[g])) is not None:
+            sub = cyclic_subgroup(group, g)
+            out.setdefault(sub.mask, sub._arr)
+    return out
+
+
 def subgroups_by_layered_extension(group) -> list[tuple[int, ...]]:
     """Member tuples of every subgroup, sorted by (order, members).
 
     Extends every subgroup found, not one per conjugacy class, by every
     cyclic prime-power subgroup not yet inside it, closing with
-    closure_by_products. It reuses the engine's _prime_power_cyclics for
-    the candidates, so it checks the class-representative bookkeeping and
-    the closure of all_subgroups, not the candidate list.
+    closure_by_products, so it checks the candidate rule, the
+    class-representative bookkeeping and the closure of all_subgroups.
     """
     trivial = np.zeros(1, dtype=np.int32)
     found = {1: trivial}
     work = deque([(1, trivial)])
-    candidates = _prime_power_cyclics(group)
+    candidates = prime_power_cyclics(group)
     while work:
         hmask, harr = work.popleft()
         for cmask, carr in candidates.items():
@@ -155,6 +171,38 @@ def subgroups_by_layered_extension(group) -> list[tuple[int, ...]]:
                     work.append((kmask, karr))
     members = (tuple(int(i) for i in arr) for arr in found.values())
     return sorted(members, key=lambda m: (len(m), m))
+
+
+def lattice_by_cyclic_extension(group):
+    """The Lattice record of the engine's former general pass.
+
+    One queued representative per conjugacy class, each grown by every
+    cyclic prime-power subgroup not inside it, one closure_by_products
+    each; a new subgroup adds its whole conjugation orbit. It makes no
+    table steps and needs no second round, so it is the reference for
+    both rounds of subgroups.lattice.
+    """
+    conj = None if group.is_abelian() else group.conj_table()
+    trivial = np.zeros(1, dtype=np.int32)
+    found = {1: trivial}
+    rep_of = {1: 1}
+    work = deque([(1, trivial)])
+    candidates = prime_power_cyclics(group)
+    while work:
+        hmask, harr = work.popleft()
+        for cmask, carr in candidates.items():
+            if cmask & hmask == cmask:
+                continue
+            karr = closure_by_products(group, harr, carr, gen_closed=True)
+            kmask = _mask_of(karr)
+            if kmask in found:
+                continue
+            orbit = {kmask: karr} if conj is None else subgroup_orbit(conj, karr)
+            found.update(orbit)
+            rep_of.update(dict.fromkeys(orbit, kmask))
+            if karr.size < group.order:
+                work.append((kmask, karr))
+    return _lattice_record(group, found, rep_of)
 
 
 def _generating_sequence(group) -> list[int]:

@@ -221,6 +221,34 @@ def test_lattice_past_the_size_bound_is_refused_within_400_mb():
     assert proc.stderr == b"error: elab:2^7 has more than 4096 subgroups, the lattice size bound\n"
 
 
+AUT_REFUSAL = "error: elab:2^5 needs more than 262144 partial automorphism maps, the automorphism search bound\n"
+
+
+def test_automorphism_search_past_its_bound_exits_2_fast(monkeypatch, capsys):
+    """Under a raised automorphism cap, elab:2^5 (|GL(5,2)| = 9,999,360 maps) is refused at its fourth level."""
+    monkeypatch.setenv(ENV_CAPS, ",,32")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "elab:2^5", "--theorems", "S2.III")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == AUT_REFUSAL
+
+
+def test_automorphism_search_past_its_bound_is_refused_within_400_mb():
+    """The refusal comes before the level's maps exist: no numpy memory error, no exit 1."""
+    limit = 400 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "sylowlab.cli", "verify", "elab:2^5", "--theorems", "S2.III"],
+        capture_output=True, env={**env_with_src(), ENV_CAPS: ",,32"}, preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == AUT_REFUSAL.encode()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["info", "elab:2^10"], "group order 1024 exceeds construction cap 512"),
     (["sylow", "sym:3", "--prime", "4"], "4 is not prime"),

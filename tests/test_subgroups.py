@@ -15,10 +15,8 @@ from sylowlab.subgroups import (
     ComplexSet,
     SubgroupSet,
     _class_orbits,
-    _cyclic_extensions,
-    _lattice_record,
+    _extensions,
     _mask_of,
-    _prime_index_extensions,
     all_subgroups,
     automorphisms,
     center,
@@ -55,6 +53,7 @@ from oracles import (
     is_hom_bijection,
     is_normal_by_scan,
     is_normal_within_by_scan,
+    lattice_by_cyclic_extension,
     normalizer_by_scan,
     power_sequence_by_sets,
     subgroups_by_layered_extension,
@@ -200,16 +199,12 @@ def test_all_subgroups_matches_layered_extension_oracle(lattice_groups):
         assert got == subgroups_by_layered_extension(group), group.label
 
 
-def general_lattice(group):
-    """The lattice record built by the general pass alone, as for a non-solvable group."""
+def first_round_found(group):
+    """The bitsets the lattice's first round, table steps only, reaches."""
     conj = None if group.is_abelian() else group.conj_table()
-    return _lattice_record(group, *_class_orbits(group, conj, _cyclic_extensions(group)))
-
-
-def prime_index_found(group):
-    """The bitsets the prime-index pass alone reaches."""
-    conj = None if group.is_abelian() else group.conj_table()
-    found, _ = _class_orbits(group, conj, _prime_index_extensions(group, conj))
+    extend = _extensions(group, conj)
+    found = {1: np.zeros(1, dtype=np.int32)}
+    _class_orbits(group, conj, found, {1: 1}, [1], lambda harr: extend(harr, False))
     return set(found)
 
 
@@ -227,13 +222,13 @@ EXTRA_PGROUPS = ["cyclic:64", "dihedral:64", "perm:(1 4 7)(2 5 8)(3 6 9);(4 5 6)
 
 
 def test_prime_index_pass_matches_the_general_pass(lattice_groups):
-    """Every solvable group: the prime-index pass reaches the whole group, and the record is the general pass's."""
+    """The first round reaches the whole group in every group here but alt:5, and each record is the former general pass's."""
     groups = lattice_groups + [build(spec) for spec in EXTRA_PGROUPS]
     non_solvable = []
     for group in groups:
-        if (1 << group.order) - 1 not in prime_index_found(group):
+        if (1 << group.order) - 1 not in first_round_found(group):
             non_solvable.append(group.label)
-        assert_same_record(lattice(group), general_lattice(group), group.label)
+        assert_same_record(lattice(group), lattice_by_cyclic_extension(group), group.label)
     assert non_solvable == ["alt:5"]
 
 
@@ -252,21 +247,29 @@ def test_solvable_lattices_make_no_closure_call(monkeypatch):
     assert set(calls) == {"alt:5"}
 
 
-@pytest.mark.parametrize("spec, count", [("alt:5", 59), ("sym:5", 156), ("prod(alt:5,cyclic:2)", 164)])
-def test_non_solvable_groups_take_the_general_pass(spec, count):
-    """The prime-index pass stops short of the whole group, and the record comes from the general pass."""
+PSL27 = "perm:(1 2 3 4 5 6 7);(1 2)(3 6)"
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("alt:5", 59), ("sym:5", 156), ("prod(alt:5,cyclic:2)", 164), (PSL27, 179),
+])
+def test_non_solvable_groups_take_the_second_round(spec, count):
+    """The first round stops short of the whole group; the second, with closures, completes the record.
+
+    PSL(2,7) is simple, and 60 does not divide its order 168, so it contains no alt:5.
+    """
     group = build(spec)
     lat = lattice(group, cap=group.order)
-    reached = prime_index_found(group)
+    reached = first_round_found(group)
     assert (1 << group.order) - 1 not in reached and reached < set(lat.index)
     assert len(lat.subs) == count
-    assert_same_record(lat, general_lattice(group), spec)
+    assert_same_record(lat, lattice_by_cyclic_extension(group), spec)
     assert_record_matches_per_subgroup_routines(group, cap=group.order)
 
 
 @pytest.mark.parametrize("spec, count", [("elab:2^4", 67), ("dihedral:60", 80), ("alt:5", 59)])
 def test_lattice_size_bound_refuses_during_enumeration(monkeypatch, spec, count):
-    """Both passes refuse once the found set passes the bound, and a lattice at the bound is kept."""
+    """Either round refuses once the found set passes the bound, and a lattice at the bound is kept."""
     monkeypatch.setattr(subgroups_module, "MAX_LATTICE_SIZE", count - 1)
     with pytest.raises(EnumerationCapExceeded, match=f"more than {count - 1} subgroups"):
         lattice(build(spec))
@@ -539,6 +542,16 @@ def test_automorphisms_are_honest_and_capped():
         automorphisms(build("cyclic:25"))
 
 
+def test_automorphism_search_bound_refuses_at_its_edge(monkeypatch):
+    """elab:2^4's largest level, 20,160 partial maps, is the largest under the default caps."""
+    assert 20160 < subgroups_module.MAX_AUTOMORPHISM_MAPS < 624960  # elab:2^5's fourth level
+    monkeypatch.setattr(subgroups_module, "MAX_AUTOMORPHISM_MAPS", 20159)
+    with pytest.raises(EnumerationCapExceeded, match="more than 20159 partial automorphism maps"):
+        automorphisms(build("elab:2^4"))
+    monkeypatch.setattr(subgroups_module, "MAX_AUTOMORPHISM_MAPS", 20160)
+    assert len(automorphisms(build("elab:2^4"))) == 20160
+
+
 @pytest.mark.parametrize(
     "group",
     [g for _, g in standard_catalog(24)] + [build(spec) for spec in ("cyclic:48", "cyclic:64", "dihedral:64")],
@@ -590,7 +603,7 @@ def test_random_permutation_groups_match_oracles(images, picks_a, picks_b):
     assert np.array_equal(join(a, b)._arr, closure_by_products(group, a._arr, b._arr, gen_closed=True))
     assert positions_by_class_id(group) == subgroup_conjugacy_classes(all_subgroups(group))
     assert_record_matches_per_subgroup_routines(group)
-    assert_same_record(lattice(group), general_lattice(group), group.label)
+    assert_same_record(lattice(group), lattice_by_cyclic_extension(group), group.label)
     if group.order <= 12:
         assert {frozenset(s.members) for s in all_subgroups(group)} == subgroups_by_subsets(group)
 

@@ -26,7 +26,6 @@ from sylowlab.subgroups import (
     whole_group,
 )
 from sylowlab.sylow import (
-    cached_sylow_chain,
     central_element_of_order_p,
     chief_series,
     coprime_decomposition,
@@ -109,8 +108,8 @@ def test_sylow_chain_matches_the_quotient_recursion(group):
 def test_cached_sylow_chain_equals_a_fresh_build():
     for name, group in standard_catalog(24):
         for p in prime_factorization(group.order):
-            cached = cached_sylow_chain(group, p)
-            assert cached_sylow_chain(group, p) is cached
+            cached = sylow_chain(group, p)
+            assert sylow_chain(group, p) is cached
             fresh = sylow_chain(build(name), p)
             assert [s.members for s in cached.chain] == [s.members for s in fresh.chain]
 
