@@ -43,6 +43,9 @@ from .subgroups import (
 from .sylow import _require_prime, _require_prime_divides, sylow_chain
 
 
+_JSON = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))  # json.dumps would build one per call
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one theorem check on one group."""
@@ -67,7 +70,7 @@ class VerificationReport:
             "passed": self.passed,
             "witnesses": self.witnesses,
         }
-        return json.dumps(payload, ensure_ascii=True, separators=(",", ":"))
+        return _JSON.encode(payload)
 
     def text_line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -88,7 +91,7 @@ class KindClassification:
 
 
 def _members_str(indices) -> str:
-    return "{" + ",".join(str(int(i)) for i in indices) + "}"
+    return "{" + ",".join(map(str, np.asarray(indices).tolist())) + "}"
 
 
 def _solutions(group: FiniteGroup, n: int) -> np.ndarray:
@@ -178,6 +181,10 @@ def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSe
     Returns the least (r, s) with R^(r+s) = R^r, together with the unique
     group among the powers. When the identity lies in R that group is the
     closure of R and s = 1, certified by equality with closure_of(R).
+
+    A product AB of complexes is the whole group once |A| + |B| > h: for
+    every g, the |B| elements of gB^-1 cannot all miss A, and a = gb^-1
+    gives g = ab. Such a power is set to the whole group without a product.
     """
     if r_set.size == 0:
         raise ValueError("the complex must be nonempty")
@@ -192,8 +199,11 @@ def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSe
     while (key := present.tobytes()) not in seen:  # present holds R^k
         seen[key] = k
         seq.append(np.flatnonzero(present))
-        present = np.zeros(group.order, dtype=bool)
-        present[table[np.ix_(seq[-1], base)]] = True
+        if seq[-1].size + base.size > group.order:
+            present = np.ones(group.order, dtype=bool)
+        else:
+            present = np.zeros(group.order, dtype=bool)
+            present[table[np.ix_(seq[-1], base)]] = True
         k += 1
     rr = seen[key]
     ss = k - rr

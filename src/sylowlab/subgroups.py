@@ -142,15 +142,25 @@ def _extend_subgroup(group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarra
     filtered through the boolean membership vector. This gives <H, g>:
     the identity is in H, and in a finite group g^-1 is a positive power
     of g, so products of multipliers reach every element.
+
+    A subgroup of more than h/2 elements is the whole group (Lagrange), so
+    the growth stops as soon as the elements known to lie in the closure
+    pass h/2: H with the generators on entry, then the members after each
+    level. An index-2 subgroup has exactly h/2, hence the strict bound.
     """
+    h = group.order
     table = group.table
-    present = np.zeros(group.order, dtype=bool)
+    present = np.zeros(h, dtype=bool)
     present[sub_arr] = True
-    if present[gen_arr].all():
+    outside = np.unique(gen_arr[~present[gen_arr]])
+    if outside.size == 0:
         return sub_arr
+    count = sub_arr.size
+    if 2 * (count + outside.size) > h:
+        return np.arange(h, dtype=np.int32)
     multipliers = sub_arr[sub_arr != 0]
     members = sub_arr
-    for g in gen_arr:
+    for g in outside:
         if present[g]:
             continue
         powers = [int(g)]
@@ -163,6 +173,9 @@ def _extend_subgroup(group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarra
         frontier = np.unique(prods[~present[prods]])
         while frontier.size:
             present[frontier] = True
+            count += frontier.size
+            if 2 * count > h:
+                return np.arange(h, dtype=np.int32)
             prods = table[np.ix_(frontier, multipliers)].ravel()
             frontier = np.unique(prods[~present[prods]])
         members = np.flatnonzero(present).astype(np.int32)
@@ -391,11 +404,13 @@ def _lattice_record(group: FiniteGroup, found: dict[int, np.ndarray], rep_of: di
     first: dict[int, int] = {}
     class_id = np.array([first.setdefault(rep_of[s.mask], len(first)) for s in subs])
     class_size = np.bincount(class_id)[class_id]
-    member = np.zeros((n, group.order), dtype=np.float32)
-    member[np.repeat(np.arange(n), sizes), np.concatenate([s._arr for s in subs])] = 1
-    contains = np.empty((n, n), dtype=bool)
-    for lo in range(0, n, 256):  # |S_i & S_j| == |S_j|, in row blocks that bound the float temporary
-        contains[lo:lo + 256] = member[lo:lo + 256] @ member.T == sizes
+    nbytes = 8 * -(-group.order // 64)
+    words = np.frombuffer(b"".join(s.mask.to_bytes(nbytes, "little") for s in subs), dtype="<u8").reshape(n, -1).T
+    contains = np.ones((n, n), dtype=bool)
+    for lo in range(0, n, 256):  # S_j has no bit outside S_i, one 64-bit word at a time, in row blocks
+        block = contains[lo:lo + 256]
+        for word in words:
+            block &= (~word[lo:lo + 256, None] & word) == 0
     normal = class_size == 1
     normalizer_order = group.order // class_size
     for arr in (sizes, contains, class_id, class_size, normal, normalizer_order):

@@ -5,10 +5,10 @@ multiplication table, no reuse of the engine's closure or lattice code.
 The exceptions are closure_by_products, subgroups_by_layered_extension,
 lattice_by_cyclic_extension, automorphisms_by_backtracking,
 elab_by_digit_array, tower_by_quotients, table_by_row_index,
-is_normal_by_scan and is_normal_within_by_scan, the engine's former
-closure, two former lattice enumerators, automorphism search, elab
-builder, Sylow tower, generator-table builder and normality scans, kept as
-references for the code that replaced them. lattice_by_cyclic_extension,
+is_normal_by_scan, is_normal_within_by_scan and contains_by_member_product,
+the engine's former closure, two former lattice enumerators, automorphism
+search, elab builder, Sylow tower, generator-table builder, normality scans
+and containment matrix, kept as references for the code that replaced them. lattice_by_cyclic_extension,
 the former general lattice pass, builds its record with the engine's
 _lattice_record, so a comparison of records checks the enumeration.
 """
@@ -79,6 +79,17 @@ def closure_by_products(group, sub_arr, gen_arr, gen_closed=False) -> np.ndarray
         members = np.flatnonzero(present).astype(np.int32)
         frontier = new.astype(np.int32)
     return members
+
+
+def contains_by_member_product(subs, order: int) -> np.ndarray:
+    """contains[i, j] = subs[i] contains subs[j], as |S_i & S_j| == |S_j| from a float32 membership product.
+
+    The lattice record's former containment matrix.
+    """
+    sizes = np.array([s.size for s in subs])
+    member = np.zeros((len(subs), order), dtype=np.float32)
+    member[np.repeat(np.arange(len(subs)), sizes), np.concatenate([s._arr for s in subs])] = 1
+    return member @ member.T == sizes
 
 
 def power_sequence_by_sets(group, complex_) -> tuple[int, int, frozenset[int]]:

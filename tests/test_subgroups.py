@@ -50,6 +50,7 @@ from oracles import (
     brute_closure,
     closure_by_products,
     conjugacy_partition,
+    contains_by_member_product,
     is_hom_bijection,
     is_normal_by_scan,
     is_normal_within_by_scan,
@@ -275,6 +276,20 @@ def test_lattice_size_bound_refuses_during_enumeration(monkeypatch, spec, count)
         lattice(build(spec))
     monkeypatch.setattr(subgroups_module, "MAX_LATTICE_SIZE", count)
     assert len(lattice(build(spec)).subs) == count
+
+
+@pytest.mark.parametrize("spec, cap", [(spec, None) for spec in EXTRA_PGROUPS] + [(PSL27, 168), ("elab:2^6", None)])
+def test_contains_is_the_subset_relation_of_the_bitsets(spec, cap):
+    """contains against the former float product, and against contains_subgroup pairs below 500 subgroups.
+
+    PSL(2,7) spreads each bitset over three 64-bit words; elab:2^6, with
+    2825 subgroups, over many row blocks.
+    """
+    group = build(spec)
+    lat = lattice(group, cap)
+    assert np.array_equal(lat.contains, contains_by_member_product(lat.subs, group.order)), spec
+    if len(lat.subs) < 500:
+        assert_record_matches_per_subgroup_routines(group, cap)
 
 
 def test_lattice_size_bound_is_above_every_default_cap_lattice():
@@ -610,20 +625,65 @@ def test_random_permutation_groups_match_oracles(images, picks_a, picks_b):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(permutations_up_to_6, st.lists(st.integers(min_value=0, max_value=23), min_size=1, max_size=6),
-       st.booleans())
-def test_complex_powers_match_the_set_oracle(images, picks, with_identity):
-    """Random complexes with and without e: (r, s) and the stabilised group equal the frozenset oracle's."""
+       st.booleans(), st.booleans())
+def test_complex_powers_match_the_set_oracle(images, picks, with_identity, complement):
+    """Random complexes with and without e: (r, s) and the stabilised group equal the frozenset oracle's.
+
+    complement draws the group minus the picks instead, mostly more than
+    h/2 elements, where a product reaches the whole group by pigeonhole.
+    """
     try:
         group = group_from_generators([Permutation(p) for p in images], cap=24)
     except ClosureExceedsCap:
         assume(False)
     members = {x % group.order for x in picks}
+    if complement:
+        members = set(range(group.order)) - members
     members = members | {0} if with_identity else members - {0}
     assume(members)
     r, s, stab = complex_power_stabilization(ComplexSet(group, members))
     assert (r, s, frozenset(stab.members)) == power_sequence_by_sets(group, members)
     if with_identity:
         assert s == 1 and frozenset(stab.members) == brute_closure(group, members)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:2", "elab:2^3", "q8", "sym:4", "dihedral:12", "prod(sym:3,cyclic:4)"])
+def test_index_two_subgroups_sit_on_the_half_order_boundary(spec):
+    """|A| = h/2 gives A^2 = A, not the whole group: both shortcuts need more than h/2 elements.
+
+    A is its own closure and join with itself, and its coset G \\ A squares to A.
+    """
+    group = build(spec)
+    halves = subgroups_of_order(group, group.order // 2)
+    assert halves
+    for a in halves:
+        assert complex_power_stabilization(ComplexSet(group, a._arr)) == (1, 1, a)
+        assert closure_of(ComplexSet(group, a.members)) == a and join(a, a) == a
+        assert np.array_equal(subgroups_module._extend_subgroup(group, a._arr, a._arr[1:]), a._arr)
+        coset = np.setdiff1d(np.arange(group.order), a._arr)
+        r, s, stab = complex_power_stabilization(ComplexSet(group, coset))
+        assert (r, s, stab) == (1, 2, a)
+        assert (r, s, frozenset(stab.members)) == power_sequence_by_sets(group, coset)
+        outside = int(coset[0])
+        assert np.array_equal(subgroups_module._extend_subgroup(group, a._arr, np.array([outside])),
+                              np.arange(group.order))
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "alt:4", "dihedral:12", "q8", "cyclic:10", "prod(sym:3,cyclic:2)"])
+def test_closures_of_complexes_around_half_the_order_match_the_oracle(spec):
+    """Complexes of h/2 - 1, h/2 and h/2 + 1 elements, with and without e, against brute_closure."""
+    group = build(spec)
+    rng = np.random.default_rng(7)
+    rest = np.arange(1, group.order)
+    for size in (group.order // 2 - 1, group.order // 2, group.order // 2 + 1):
+        for with_identity in (False, True):
+            for _ in range(8):
+                picks = rng.choice(rest, size=size - with_identity, replace=False)
+                members = np.append(picks, 0) if with_identity else picks
+                got = closure_of(ComplexSet(group, members))
+                assert frozenset(got.members) == brute_closure(group, members), (size, members)
+                if size > group.order // 2:
+                    assert got.size == group.order
 
 
 def test_is_characteristic():
