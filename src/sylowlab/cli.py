@@ -3,7 +3,7 @@
 The argparse parser is built once per process, on the first main call.
 Check selection belongs to the engine: counting.select_checks parses
 --theorems. Exit codes: 0 all good, 1 at least one verification check
-failed, 2 usage, parse or build errors, 3 an engine invariant broke (a
+failed, 2 usage, parse or build errors or out of memory, 3 an engine invariant broke (a
 bug, not a failed check), 141 (128 + SIGPIPE) stdout was closed before
 all output was written, as by `| head`. Reports go to stdout,
 diagnostics to stderr. The SYLOWLAB_CAPS env var
@@ -182,6 +182,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: internal invariant broken: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 2
 
 
 EXIT_BROKEN_PIPE = 141

@@ -1,7 +1,8 @@
 """Finite groups as dense multiplication tables over 0-based element indices.
 
 A group of order h is an h x h numpy table plus derived arrays (inverse,
-element orders). Element 0 is always the identity. Permutation composition
+element orders, and the power table powers[k, x] = x^k for k up to the
+largest element order). Element 0 is always the identity. Permutation composition
 reads left to right: compose(a, b) means "apply a, then b". Conjugation is
 t^-1 x t throughout.
 """
@@ -98,7 +99,8 @@ class FiniteGroup:
 
     Construct through group_from_table, group_from_generators or
     catalog.build; the constructor itself trusts the table to be
-    associative and only derives inverses and element orders.
+    associative and only derives inverses, the power table and element
+    orders.
     """
 
     def __init__(
@@ -124,12 +126,14 @@ class FiniteGroup:
         if not has_inv.all():
             raise NotAGroup("inverse", (int(np.argmin(has_inv)),))
         self.inverse = np.argmax(table == 0, axis=1).astype(np.int32)
-        self.elem_order = _element_orders(table)
+        self.powers = _power_table(table)
+        self.elem_order = np.argmax(self.powers[1:] == 0, axis=0).astype(np.int32) + 1
         self.label = label if label is not None else f"group{h}"
         self.element_names = tuple(element_names) if element_names is not None else None
         self.perms = tuple(perms) if perms is not None else None
         self.table.flags.writeable = False
         self.inverse.flags.writeable = False
+        self.powers.flags.writeable = False
         self.elem_order.flags.writeable = False
         self._cache: dict = {}
 
@@ -171,29 +175,24 @@ class FiniteGroup:
 
     def exponent(self) -> int:
         """Least common multiple of all element orders."""
-        out = 1
-        for m in np.unique(self.elem_order):
-            out = out * int(m) // int(np.gcd(out, int(m)))
-        return out
+        return int(np.lcm.reduce(self.elem_order))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
 
 
-def _element_orders(table: np.ndarray) -> np.ndarray:
+def _power_table(table: np.ndarray) -> np.ndarray:
+    """powers[k, x] = x^k for k = 0..m, m the largest element order: rows until every x has met the identity."""
     h = table.shape[0]
-    orders = np.zeros(h, dtype=np.int32)
     idx = np.arange(h, dtype=np.int32)
-    cur = idx.copy()  # cur[i] = i^k
-    k = 1
-    while (orders == 0).any():
-        hit = (cur == 0) & (orders == 0)
-        orders[hit] = k
-        cur = table[cur, idx]
-        k += 1
-        if k > h + 1:  # unreachable for a true group table; guards bad input
-            raise NotAGroup("inverse", (int(np.argmax(orders == 0)),))
-    return orders
+    rows = [np.zeros(h, dtype=np.int32), idx]
+    met = idx == 0
+    while not met.all():
+        rows.append(table[rows[-1], idx])
+        met |= rows[-1] == 0
+        if len(rows) > h + 1:  # row h+1 reached: unreachable for a true group table; guards bad input
+            raise NotAGroup("inverse", (int(np.argmin(met)),))
+    return np.array(rows)
 
 
 def _check_associativity(table: np.ndarray) -> None:
@@ -289,15 +288,7 @@ def element_order(group: FiniteGroup, x: ElementIndex) -> int:
 
 def power(group: FiniteGroup, x: ElementIndex, k: int) -> ElementIndex:
     """x^k for any integer k; the exponent is reduced mod the element order."""
-    k %= int(group.elem_order[x])
-    acc = 0
-    base = x
-    while k:
-        if k & 1:
-            acc = int(group.table[acc, base])
-        base = int(group.table[base, base])
-        k >>= 1
-    return acc
+    return int(group.powers[k % int(group.elem_order[x]), x])
 
 
 def conjugate(group: FiniteGroup, x: ElementIndex, t: ElementIndex) -> ElementIndex:

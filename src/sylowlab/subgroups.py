@@ -203,13 +203,7 @@ def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> SubgroupSet:
 
 def cyclic_subgroup(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:
     """The powers of one element."""
-    table = group.table
-    members = [0]
-    cur = int(x)
-    while cur != 0:
-        members.append(cur)
-        cur = int(table[cur, x])
-    return SubgroupSet._unchecked(group, np.array(sorted(members), dtype=np.int32))
+    return SubgroupSet._unchecked(group, np.sort(group.powers[:group.elem_order[x], x]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,15 +353,12 @@ def _extensions(group: FiniteGroup, conj: np.ndarray | None) -> Callable[[np.nda
     skipped unless closures is set; then <H, g> is one closure, and the
     other generators of <g>, its powers outside H, give the same subgroup.
     """
-    table = group.table
+    table, powers = group.table, group.powers
     base_of = {m: prime_power_base(m) or 0 for m in np.unique(group.elem_order).tolist()}
     base = np.array([base_of[m] for m in group.elem_order.tolist()])  # 0 off the prime-power orders
     elems = np.flatnonzero(base)
     base = base[elems]
-    pth = elems.astype(np.int32)
-    for k in range(2, int(base.max(initial=1)) + 1):  # pth = elems ** base, one factor at a time
-        more = base >= k
-        pth[more] = table[pth[more], elems[more]]
+    pth = powers[base, elems]
 
     def extend(harr: np.ndarray, closures: bool) -> Iterator[np.ndarray]:
         inside = np.zeros(group.order, dtype=bool)
@@ -382,14 +373,11 @@ def _extensions(group: FiniteGroup, conj: np.ndarray | None) -> Callable[[np.nda
             if inside[g]:  # inside also marks the elements covered by a subgroup already yielded
                 continue
             if normal:
-                powers = [0, g]
-                while len(powers) < p:
-                    powers.append(int(table[powers[-1], g]))
-                larr = np.sort(table[column, powers], axis=None)
+                larr = np.sort(table[column, powers[:p, g]], axis=None)
                 inside[larr] = True
             else:
                 larr = _extend_subgroup(group, harr, np.array([g]))
-                inside[cyclic_subgroup(group, g)._arr] = True
+                inside[powers[:, g]] = True
             yield larr
 
     return extend

@@ -63,25 +63,19 @@ class CoprimeDecomposition:
 
 def _chain_members(group: FiniteGroup, p: int, lam: int) -> list[np.ndarray]:
     """Member arrays of a Sylow tower of group, orders p^1..p^lam."""
-    table, inverse = group.table, group.inverse
+    table, inverse, powers = group.table, group.inverse, group.powers
     ambient = np.arange(group.order, dtype=np.int32)  # A, ascending
     inside = ambient == 0                              # N, as a membership vector
     members = []
     for _ in range(lam):
-        pth = ambient  # p-th powers of A
-        for _ in range(p - 1):
-            pth = table[pth, ambient]
-        for a in ambient[inside[pth] & ~inside[ambient]]:  # Na of order p in A/N, least a first
+        for a in ambient[inside[powers[p, ambient]] & ~inside[ambient]]:  # Na of order p in A/N, least a first
             comm = table[table[table[inverse[a], inverse[ambient]], a], ambient]  # a^-1 b^-1 a b
             cent = ambient[inside[comm]]  # the preimage in A of Na's centralizer in A/N
             if valuation(cent.size, p) == lam:
                 break
         else:  # impossible by the class-equation count of order-p cosets
             raise RuntimeError(f"no order-{p} element with full-valuation centralizer found")
-        coset = np.flatnonzero(inside)
-        for _ in range(p - 1):
-            coset = table[coset, a]
-            inside[coset] = True
+        inside[table[np.flatnonzero(inside)[:, None], powers[1:p, a]]] = True  # Na, ..., Na^(p-1)
         members.append(np.flatnonzero(inside).astype(np.int32))
         ambient = cent
     return members

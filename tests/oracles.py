@@ -5,10 +5,11 @@ multiplication table, no reuse of the engine's closure or lattice code.
 The exceptions are closure_by_products, subgroups_by_layered_extension,
 lattice_by_cyclic_extension, automorphisms_by_backtracking,
 elab_by_digit_array, tower_by_quotients, table_by_row_index,
-is_normal_by_scan, is_normal_within_by_scan and contains_by_member_product,
-the engine's former closure, two former lattice enumerators, automorphism
-search, elab builder, Sylow tower, generator-table builder, normality scans
-and containment matrix, kept as references for the code that replaced them. lattice_by_cyclic_extension,
+is_normal_by_scan, is_normal_within_by_scan, contains_by_member_product and
+power_by_squaring, the engine's former closure, two former lattice
+enumerators, automorphism search, elab builder, Sylow tower, generator-table
+builder, normality scans, containment matrix and element power, kept as
+references for the code that replaced them. lattice_by_cyclic_extension,
 the former general lattice pass, builds its record with the engine's
 _lattice_record, so a comparison of records checks the enumeration.
 """
@@ -318,6 +319,17 @@ def element_order_oracle(group, x: int) -> int:
         cur = int(group.table[cur, x])
         k += 1
     return k
+
+
+def power_by_squaring(group, xs: np.ndarray, k: int) -> np.ndarray:
+    """x^k for each x in xs and k >= 0, by binary exponentiation on the table."""
+    acc, base = np.zeros_like(xs), xs
+    while k:
+        if k & 1:
+            acc = group.table[acc, base]
+        base = group.table[base, base]
+        k >>= 1
+    return acc
 
 
 def is_hom_bijection(group, phi) -> bool:

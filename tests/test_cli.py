@@ -221,6 +221,22 @@ def test_lattice_past_the_size_bound_is_refused_within_400_mb():
     assert proc.stderr == b"error: elab:2^7 has more than 4096 subgroups, the lattice size bound\n"
 
 
+def test_running_out_of_memory_exits_2_with_one_line():
+    """A 1.5 GB table in a 600 MB address space: exit 2 and one error line, not a traceback and exit 1."""
+    limit = 600 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "sylowlab.cli", "info", "cyclic:20000"],
+        capture_output=True, env={**env_with_src(), ENV_CAPS: "20000,,"}, preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
+
+
 AUT_REFUSAL = "error: elab:2^5 needs more than 262144 partial automorphism maps, the automorphism search bound\n"
 
 

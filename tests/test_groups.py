@@ -1,11 +1,13 @@
 """Group construction, element arithmetic and their axioms."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sylowlab
+from sylowlab.catalog import build, standard_catalog
 from sylowlab.errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
 from sylowlab.groups import (
     Permutation,
@@ -16,7 +18,9 @@ from sylowlab.groups import (
     power,
 )
 
-from oracles import element_order_oracle
+from sylowlab.subgroups import cyclic_subgroup
+
+from oracles import brute_closure, element_order_oracle, power_by_squaring
 
 THREE_CYCLE = Permutation([1, 2, 0])      # (1 2 3)
 SWAP = Permutation([1, 0, 2])             # (1 2)
@@ -176,6 +180,41 @@ def test_power_composition_law():
         for k in range(-5, 8):
             for m in range(-4, 6):
                 assert power(group, power(group, x, k), m) == power(group, x, k * m)
+
+
+# The pgroups benchmark groups, and two large groups with long and with mixed element orders.
+POWER_TABLE_SPECS = [
+    "elab:2^4", "elab:2^5", "prod(cyclic:2,q8)", "dihedral:16", "dihedral:32", "dihedral:64",
+    "cyclic:64", "elab:3^3", "perm:(1 4 7)(2 5 8)(3 6 9);(4 5 6)(7 9 8)",
+    "perm:(1 2 3 4 5 6 7 8 9);(2 8 5)(3 6 9)", "elab:5^2", "q8", "dihedral:512", "prod(sym:5,cyclic:4)",
+]
+
+
+@pytest.fixture(scope="module")
+def power_table_groups():
+    return [group for _, group in standard_catalog(60)] + [build(spec) for spec in POWER_TABLE_SPECS]
+
+
+def test_power_table_rows_are_the_powers(power_table_groups):
+    """powers[k, x] = x^k for k up to the largest element order, and the array is read-only."""
+    for group in power_table_groups:
+        table, idx = group.powers, np.arange(group.order, dtype=np.int32)
+        assert table.shape == (int(group.elem_order.max()) + 1, group.order), group.label
+        for k in range(table.shape[0]):
+            assert np.array_equal(table[k], power_by_squaring(group, idx, k)), (group.label, k)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_orders_exponent_and_cyclic_subgroups_read_the_power_table(power_table_groups):
+    """Element orders and the exponent match repeated multiplication; <x> matches a brute closure, one x per order."""
+    for group in power_table_groups:
+        orders = [element_order_oracle(group, x) for x in range(group.order)]
+        assert group.elem_order.tolist() == orders, group.label
+        assert group.exponent() == math.lcm(*orders), group.label
+        for x in np.unique(group.elem_order, return_index=True)[1].tolist():
+            assert frozenset(cyclic_subgroup(group, x).members) == brute_closure(group, [x]), (group.label, x)
 
 
 def test_conjugate_examples():
