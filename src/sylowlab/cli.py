@@ -3,9 +3,9 @@
 The argparse parser is built once per process, on the first main call.
 Check selection belongs to the engine: counting.select_checks parses
 --theorems. Exit codes: 0 all good, 1 at least one verification check
-failed, 2 usage, parse or build errors or out of memory, 3 an engine invariant broke (a
-bug, not a failed check), 141 (128 + SIGPIPE) stdout was closed before
-all output was written, as by `| head`. Reports go to stdout,
+failed, 2 usage, parse or build errors or out of memory, 3 an engine
+invariant broke (a bug, not a failed check), 141 (128 + SIGPIPE) stdout
+was closed before all output was written, as by `| head`. Reports go to stdout,
 diagnostics to stderr. The SYLOWLAB_CAPS env var
 ("construction,subgroups,automorphisms") overrides the three size caps.
 """

@@ -2,9 +2,9 @@
 
 A group of order h is an h x h numpy table plus derived arrays (inverse,
 element orders, and the power table powers[k, x] = x^k for k up to the
-largest element order). Element 0 is always the identity. Permutation composition
-reads left to right: compose(a, b) means "apply a, then b". Conjugation is
-t^-1 x t throughout.
+largest element order). Element 0 is always the identity. Permutation
+composition reads left to right: compose(a, b) means "apply a, then b".
+Conjugation is t^-1 x t throughout.
 """
 
 from __future__ import annotations

@@ -202,7 +202,9 @@ def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> SubgroupSet:
 
 
 def cyclic_subgroup(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:
-    """The powers of one element."""
+    """The powers of one element; ValueError on an index out of range."""
+    if not 0 <= x < group.order:
+        raise ValueError(f"element index {x} out of range for order {group.order}")
     return SubgroupSet._unchecked(group, np.sort(group.powers[:group.elem_order[x], x]))
 
 

@@ -217,6 +217,13 @@ def test_orders_exponent_and_cyclic_subgroups_read_the_power_table(power_table_g
             assert frozenset(cyclic_subgroup(group, x).members) == brute_closure(group, [x]), (group.label, x)
 
 
+@pytest.mark.parametrize("x", [-1, 6])
+def test_cyclic_subgroup_refuses_an_index_out_of_range(x):
+    """A negative index would otherwise wrap around to the last element."""
+    with pytest.raises(ValueError):
+        cyclic_subgroup(group_from_table(cyclic_table(6)), x)
+
+
 def test_conjugate_examples():
     group = group_from_generators([THREE_CYCLE, SWAP])
     names = group.element_names
