@@ -64,7 +64,6 @@ from .subgroups import (
     lattice,
     normalizer,
     quotient,
-    subgroup_class_ids,
     subgroup_conjugacy_classes,
     subgroups_of_order,
     subgroups_within,

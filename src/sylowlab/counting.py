@@ -411,14 +411,39 @@ def count_normal_within(
     )
 
 
-def _normal_in_sylow(lat: Lattice, top: SubgroupSet) -> tuple[SubgroupSet, np.ndarray]:
-    """N(P) and the rows of the subgroups normal in P, in lattice order, for a Sylow subgroup P."""
+def _classes_under(lat: Lattice, rows: np.ndarray, acting: SubgroupSet) -> np.ndarray:
+    """Class ids of lattice rows that acting permutes by conjugation, numbered by first occurrence.
+
+    Conjugates under acting are conjugate in G, so a row with no G-conjugate
+    among the rows is alone in its orbit; only the others take an orbit.
+    """
+    ids = lat.class_id[rows]
+    shared = np.flatnonzero(np.bincount(ids)[ids] > 1)
+    first = np.arange(len(rows))
+    for orbit in subgroup_conjugacy_classes([lat.subs[j] for j in rows[shared]], acting=acting):
+        first[shared[orbit]] = shared[orbit[0]]
+    return np.unique(first, return_inverse=True)[1]
+
+
+def _sylow_normals(lat: Lattice, top: SubgroupSet) -> tuple[int, np.ndarray, np.ndarray]:
+    """|N(P)|, the rows of the subgroups normal in a Sylow subgroup P, and their classes under N(P).
+
+    Q <= P is normal in P iff its P-orbit is Q alone, and N(P) permutes
+    these Q.
+    """
     below = np.flatnonzero(lat.contains[lat.index[top.mask]])
-    return normalizer(top), below[[is_normal_within(lat.subs[j], top) for j in below]]
+    in_top = _classes_under(lat, below, top)
+    rows = below[np.bincount(in_top)[in_top] == 1]
+    norm_top = normalizer(top)
+    return norm_top.size, rows, _classes_under(lat, rows, norm_top)
 
 
 def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
-    """h/q' == p'/r modulo p^(lambda-delta), for every normal subgroup Q of a Sylow subgroup.
+    """h/q' == p'/r modulo p^(lambda-delta), for every normal subgroup Q of a Sylow subgroup P.
+
+    Both sides are orbit lengths (orbit-stabilizer): h/q' = h/|N(Q)| is the
+    number of Q's conjugates in G, its lattice class size, and p'/r =
+    |N(P)|/|N(Q) meet N(P)| the number of its conjugates under N(P).
 
     Not applicable when the Sylow p-subgroup is normal: there is no proper
     conjugate to define delta.
@@ -442,23 +467,17 @@ def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Verifi
     conjugates = np.flatnonzero(lat.class_id == lat.class_id[top_row])
     delta = max(valuation((lat.subs[j].mask & top.mask).bit_count(), p) for j in conjugates if j != top_row)
     modulus = p ** (lam - delta)
-    norm_top, normals = _normal_in_sylow(lat, top)
-    p_prime = norm_top.size
+    p_prime, normals, local = _sylow_normals(lat, top)
+    h_q = lat.class_size[normals]  # h/q': Q's conjugates in G
+    p_r = np.bincount(local)[local]  # p'/r: Q's conjugates under N(P)
+    if (h % h_q).any() or (p_prime % p_r).any():
+        raise RuntimeError("conjugacy orbit lengths do not divide the acting group order; engine invariant broken")
     witnesses = []
     passed = True
-    for q_sub in (lat.subs[j] for j in normals):
-        norm_q = normalizer(q_sub)
-        q_prime = norm_q.size
-        r_size = (norm_q.mask & norm_top.mask).bit_count()
-        if h % q_prime != 0 or p_prime % r_size != 0:
-            raise RuntimeError("normalizer sizes fail Lagrange; engine invariant broken")
-        lhs = h // q_prime
-        rhs = p_prime // r_size
+    for q_size, lhs, rhs in zip(lat.sizes[normals].tolist(), h_q.tolist(), p_r.tolist()):
         ok = (lhs - rhs) % modulus == 0
         passed = passed and ok
-        witnesses.append(
-            f"|Q|={q_sub.size} h/q'={lhs} p'/r={rhs}{'' if ok else ' MISMATCH'}"
-        )
+        witnesses.append(f"|Q|={q_size} h/q'={lhs} p'/r={rhs}{'' if ok else ' MISMATCH'}")
     return VerificationReport(
         theorem_id="S5.7",
         group=group.label,
@@ -480,11 +499,8 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
     _require_prime_divides(group, p)
     lam = valuation(group.order, p)
     lat = lattice(group, caps.subgroups)
-    norm_top, rows = _normal_in_sylow(lat, sylow_chain(group, p).top)
+    _, rows, local = _sylow_normals(lat, sylow_chain(group, p).top)
     normals = [lat.subs[j] for j in rows]
-    local = np.zeros(len(rows), dtype=int)  # class id under N(P), per position in normals
-    for c, orbit in enumerate(subgroup_conjugacy_classes(normals, acting=norm_top)):
-        local[orbit] = c
     ids = lat.class_id[rows]
     fused = np.flatnonzero(np.bincount(ids)[ids] > 1)  # positions H-conjugate to another normal subgroup
     same = ids[fused][:, None] == ids[fused]  # H-conjugate pairs, each with itself too

@@ -281,16 +281,26 @@ def group_from_generators(
     return FiniteGroup(table, label=label, element_names=names, perms=perms)
 
 
+def _check_element(group: FiniteGroup, x: ElementIndex) -> None:
+    """ValueError unless x is an element index of the group, in [0, h)."""
+    if not 0 <= x < group.order:
+        raise ValueError(f"element index {x} out of range for order {group.order}")
+
+
 def element_order(group: FiniteGroup, x: ElementIndex) -> int:
-    """Smallest m >= 1 with x^m equal to the identity."""
+    """Smallest m >= 1 with x^m equal to the identity; ValueError on an index out of range."""
+    _check_element(group, x)
     return int(group.elem_order[x])
 
 
 def power(group: FiniteGroup, x: ElementIndex, k: int) -> ElementIndex:
-    """x^k for any integer k; the exponent is reduced mod the element order."""
+    """x^k for any integer k, reduced mod the element order; ValueError on an index out of range."""
+    _check_element(group, x)
     return int(group.powers[k % int(group.elem_order[x]), x])
 
 
 def conjugate(group: FiniteGroup, x: ElementIndex, t: ElementIndex) -> ElementIndex:
-    """t^-1 x t."""
+    """t^-1 x t; ValueError on an index out of range."""
+    _check_element(group, x)
+    _check_element(group, t)
     return int(group.table[group.table[group.inverse[t], x], t])

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CAPS
 from .errors import EnumerationCapExceeded, NotNormal, ParentMismatch
-from .groups import ElementIndex, FiniteGroup
+from .groups import ElementIndex, FiniteGroup, _check_element
 from .numtheory import prime_power_base
 
 
@@ -203,8 +202,7 @@ def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> SubgroupSet:
 
 def cyclic_subgroup(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:
     """The powers of one element; ValueError on an index out of range."""
-    if not 0 <= x < group.order:
-        raise ValueError(f"element index {x} out of range for order {group.order}")
+    _check_element(group, x)
     return SubgroupSet._unchecked(group, np.sort(group.powers[:group.elem_order[x], x]))
 
 
@@ -233,11 +231,6 @@ class Lattice:
         """The rows of the subgroups of order m."""
         lo, hi = self.sizes.searchsorted((m, m + 1)).tolist()
         return slice(lo, hi)
-
-    @cached_property
-    def class_ids(self) -> Mapping[int, int]:
-        """class_id keyed by bitset, read-only."""
-        return MappingProxyType({s.mask: c for s, c in zip(self.subs, self.class_id.tolist())})
 
 
 # The most subgroups a lattice may hold. elab:2^6, the largest lattice under
@@ -293,96 +286,57 @@ def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSe
     return list(lattice(group, cap).subs)
 
 
-def subgroup_class_ids(group: FiniteGroup, cap: int | None = None) -> Mapping[int, int]:
-    """The lattice's class_id keyed by bitset, read-only and cached on the record.
-
-    Two subgroups are conjugate iff their ids are equal.
-    """
-    return lattice(group, cap).class_ids
-
-
 def _lattice(group: FiniteGroup) -> Lattice:
-    """The lattice record, as lattice describes."""
+    """The lattice record, as lattice describes: one queue, a round without closures, then one with.
+
+    found maps each bitset to its members and rep_of to its class's queued
+    bitset. inside marks H and every subgroup already taken from H, whose
+    elements would only give that subgroup again.
+    """
+    h, table, powers = group.order, group.table, group.powers
     conj = None if group.is_abelian() else group.conj_table()
-    extend = _extensions(group, conj)
-    found: dict[int, np.ndarray] = {1: np.zeros(1, dtype=np.int32)}
-    rep_of: dict[int, int] = {1: 1}
-    _class_orbits(group, conj, found, rep_of, [1], lambda harr: extend(harr, False))
-    if (1 << group.order) - 1 not in found:  # the group is not solvable
-        _class_orbits(group, conj, found, rep_of, dict.fromkeys(rep_of.values()), lambda harr: extend(harr, True))
-    return _lattice_record(group, found, rep_of)
-
-
-def _class_orbits(
-    group: FiniteGroup,
-    conj: np.ndarray | None,
-    found: dict[int, np.ndarray],
-    rep_of: dict[int, int],
-    queue: Iterable[int],
-    extensions: Callable[[np.ndarray], Iterator[np.ndarray]],
-) -> None:
-    """The class-representative queue, run from the queued bitsets until it is empty.
-
-    extensions(harr) yields member arrays of subgroups above the queued
-    representative H. Every new one joins found, bitset -> members, with
-    its conjugation orbit, and rep_of maps each of them to the bitset of
-    the one queued.
-    """
-    work = deque(queue)
-    while work:
-        for karr in extensions(found[work.popleft()]):
-            kmask = _mask_of(karr)
-            if kmask in found:
-                continue
-            orbit = {kmask: karr} if conj is None else subgroup_orbit(conj, karr)
-            found.update(orbit)
-            rep_of.update(dict.fromkeys(orbit, kmask))
-            if len(found) > MAX_LATTICE_SIZE:
-                raise EnumerationCapExceeded(
-                    f"{group.label} has more than {MAX_LATTICE_SIZE} subgroups, the lattice size bound"
-                )
-            if karr.size < group.order:
-                work.append(kmask)
-
-
-def _extensions(group: FiniteGroup, conj: np.ndarray | None) -> Callable[[np.ndarray, bool], Iterator[np.ndarray]]:
-    """extend(harr, closures): the subgroups <H, g>, g prime-power outside H with g^p in H.
-
-    p is the prime of g's order. The normaliser test is one conj lookup
-    for every candidate at once, skipped in an abelian group. A g that
-    normalises H gives H, Hg, ..., Hg^(p-1) off the table, and every
-    element of it outside H gives the same subgroup. Any other g is
-    skipped unless closures is set; then <H, g> is one closure, and the
-    other generators of <g>, its powers outside H, give the same subgroup.
-    """
-    table, powers = group.table, group.powers
     base_of = {m: prime_power_base(m) or 0 for m in np.unique(group.elem_order).tolist()}
     base = np.array([base_of[m] for m in group.elem_order.tolist()])  # 0 off the prime-power orders
     elems = np.flatnonzero(base)
     base = base[elems]
     pth = powers[base, elems]
-
-    def extend(harr: np.ndarray, closures: bool) -> Iterator[np.ndarray]:
-        inside = np.zeros(group.order, dtype=bool)
-        inside[harr] = True
-        keep = ~inside[elems] & inside[pth]
-        cand, primes = elems[keep], base[keep]
-        normalises = np.ones(cand.size, dtype=bool) if conj is None else inside[conj[np.ix_(cand, harr)]].all(axis=1)
-        if not closures:
-            cand, primes, normalises = cand[normalises], primes[normalises], normalises[normalises]
-        column = harr[:, None]
-        for g, p, normal in zip(cand.tolist(), primes.tolist(), normalises.tolist()):
-            if inside[g]:  # inside also marks the elements covered by a subgroup already yielded
-                continue
-            if normal:
-                larr = np.sort(table[column, powers[:p, g]], axis=None)
-                inside[larr] = True
-            else:
-                larr = _extend_subgroup(group, harr, np.array([g]))
-                inside[powers[:, g]] = True
-            yield larr
-
-    return extend
+    found: dict[int, np.ndarray] = {1: np.zeros(1, dtype=np.int32)}
+    rep_of: dict[int, int] = {1: 1}
+    for closures in (False, True):
+        if (1 << h) - 1 in found:  # after the first round: the group is solvable, the lattice complete
+            break
+        work = deque(dict.fromkeys(rep_of.values()))
+        while work:
+            harr = found[work.popleft()]
+            inside = np.zeros(h, dtype=bool)
+            inside[harr] = True
+            keep = ~inside[elems] & inside[pth]
+            cand, primes = elems[keep], base[keep]
+            normalises = np.ones(cand.size, dtype=bool) if conj is None else inside[conj[np.ix_(cand, harr)]].all(axis=1)
+            if not closures:
+                cand, primes, normalises = cand[normalises], primes[normalises], normalises[normalises]
+            for g, p, normal in zip(cand.tolist(), primes.tolist(), normalises.tolist()):
+                if inside[g]:
+                    continue
+                if normal:
+                    karr = np.sort(table[harr[:, None], powers[:p, g]], axis=None)
+                    inside[karr] = True
+                else:
+                    karr = _extend_subgroup(group, harr, np.array([g]))
+                    inside[powers[:, g]] = True
+                kmask = _mask_of(karr)
+                if kmask in found:
+                    continue
+                orbit = {kmask: karr} if conj is None else subgroup_orbit(conj, karr)
+                found.update(orbit)
+                rep_of.update(dict.fromkeys(orbit, kmask))
+                if len(found) > MAX_LATTICE_SIZE:
+                    raise EnumerationCapExceeded(
+                        f"{group.label} has more than {MAX_LATTICE_SIZE} subgroups, the lattice size bound"
+                    )
+                if karr.size < h:
+                    work.append(kmask)
+    return _lattice_record(group, found, rep_of)
 
 
 def _lattice_record(group: FiniteGroup, found: dict[int, np.ndarray], rep_of: dict[int, int]) -> Lattice:

@@ -5,11 +5,12 @@ multiplication table, no reuse of the engine's closure or lattice code.
 The exceptions are closure_by_products, subgroups_by_layered_extension,
 lattice_by_cyclic_extension, automorphisms_by_backtracking,
 elab_by_digit_array, tower_by_quotients, table_by_row_index,
-is_normal_by_scan, is_normal_within_by_scan, contains_by_member_product and
-power_by_squaring, the engine's former closure, two former lattice
-enumerators, automorphism search, elab builder, Sylow tower, generator-table
-builder, normality scans, containment matrix and element power, kept as
-references for the code that replaced them. lattice_by_cyclic_extension,
+is_normal_by_scan, is_normal_within_by_scan, contains_by_member_product,
+power_by_squaring and sylow_normals_by_normalizers, the engine's former
+closure, two former lattice enumerators, automorphism search, elab builder,
+Sylow tower, generator-table builder, normality scans, containment matrix,
+element power and Section 5 normalizer computation, kept as references for
+the code that replaced them. lattice_by_cyclic_extension,
 the former general lattice pass, builds its record with the engine's
 _lattice_record, so a comparison of records checks the enumeration.
 """
@@ -438,3 +439,21 @@ def is_normal_within_by_scan(a, ambient) -> bool:
 def normalizer_by_scan(a) -> list[int]:
     """The parent elements whose conjugation fixes A, ascending."""
     return np.flatnonzero(_fixes(a, np.arange(a.parent.order))).tolist()
+
+
+def sylow_normals_by_normalizers(lat, top) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """|N(P)|, the rows normal in the Sylow subgroup P, and (h/|N(Q)|, |N(P)|/|N(Q) meet N(P)|) for each.
+
+    The engine's former S5.7 and S5.III computation: an is_normal_within
+    filter on the rows below P, then one normalizer per normal subgroup Q,
+    met with N(P) member by member.
+    """
+    h = top.parent.order
+    norm_top = set(normalizer_by_scan(top))
+    below = np.flatnonzero(lat.contains[lat.index[top.mask]]).tolist()
+    rows = [j for j in below if is_normal_within_by_scan(lat.subs[j], top)]
+    sides = []
+    for j in rows:
+        norm_q = normalizer_by_scan(lat.subs[j])
+        sides.append((h // len(norm_q), len(norm_top) // len(norm_top.intersection(norm_q))))
+    return len(norm_top), rows, sides

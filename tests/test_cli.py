@@ -397,6 +397,23 @@ def test_verify_catalog_60_json_is_the_output_contract(capsys, extra, lines, dig
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("workload", ["pgroups", "large"])
+def test_benchmark_golden_digests_hold_in_process(monkeypatch, capsys, workload):
+    """The p-groups up to order 64 and the groups of order 120-512 give the benchmark's recorded output.
+
+    perfbench/golden.json is read, never written: every call's exit code and
+    stdout sha256, at the default caps.
+    """
+    calls = json.loads((ROOT / "perfbench" / "golden.json").read_text())["calls"][workload]
+    monkeypatch.delenv(ENV_CAPS, raising=False)
+    got = []
+    for call in calls:
+        code, out, _ = run_cli(capsys, *call["argv"])
+        got.append((call["argv"], code, hashlib.sha256(out.encode()).hexdigest()))
+    assert got == [(call["argv"], call["rc"], call["sha256"]) for call in calls]
+    assert len(calls) == {"pgroups": 12, "large": 10}[workload]
+
+
 def test_caps_env_override(monkeypatch, capsys):
     monkeypatch.setenv(ENV_CAPS, "16,8,8")
     code, _, err = run_cli(capsys, "info", "sym:4")

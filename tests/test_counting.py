@@ -57,6 +57,9 @@ from sylowlab.subgroups import (
 )
 from sylowlab.sylow import p_part_decomposition, sylow_chain
 
+from oracles import sylow_normals_by_normalizers
+from test_subgroups import EXTRA_PGROUPS, PSL27
+
 
 def test_count_solutions_examples():
     s3 = build("sym:3")
@@ -372,13 +375,39 @@ def test_normal_fusion_check():
 
 
 def test_normal_fusion_check_fails_without_normalizer_fusion(monkeypatch):
-    monkeypatch.setattr(
-        counting, "subgroup_conjugacy_classes", lambda subs, acting=None: [[i] for i in range(len(subs))]
-    )
-    rep = normal_fusion_check(build("alt:4"), 2)
+    """With the N(P)-acting orbits split into single subgroups, alt:4's six fused pairs show as witnesses.
+
+    Only the call acting by N(P) is broken; the one acting by P, which finds
+    P's normal subgroups, runs as it is.
+    """
+    group = build("alt:4")
+    norm_top = normalizer(sylow_chain(group, 2).top)
+    orbits = counting.subgroup_conjugacy_classes
+
+    def unfused(subs, acting=None):
+        return [[i] for i in range(len(subs))] if acting == norm_top else orbits(subs, acting)
+
+    monkeypatch.setattr(counting, "subgroup_conjugacy_classes", unfused)
+    rep = normal_fusion_check(group, 2)
     assert not rep.passed and rep.counted == 6
     pairs = [w for w in rep.witnesses if w.startswith("pair ")]
     assert len(pairs) == 6 and all(w.endswith("not conjugate in the Sylow normalizer") for w in pairs)
+
+
+def test_sylow_normals_match_the_normalizer_computation():
+    """P's normal subgroups and both orbit lengths of S5.7 against the former per-subgroup normalizers.
+
+    h/q' is the lattice class size and p'/r the length of the N(P)-orbit.
+    """
+    specs = [(spec, None) for spec, _ in standard_catalog(60)] + [(spec, None) for spec in EXTRA_PGROUPS]
+    for spec, cap in specs + [("sym:5", 120), (PSL27, 168)]:
+        group = build(spec)
+        lat = subgroups.lattice(group, cap)
+        for p in prime_factorization(group.order):
+            top = sylow_chain(group, p).top
+            p_prime, rows, local = counting._sylow_normals(lat, top)
+            sides = list(zip(lat.class_size[rows].tolist(), np.bincount(local)[local].tolist()))
+            assert (p_prime, rows.tolist(), sides) == sylow_normals_by_normalizers(lat, top), (spec, p)
 
 
 def test_sylow_single_class():

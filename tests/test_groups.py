@@ -224,6 +224,19 @@ def test_cyclic_subgroup_refuses_an_index_out_of_range(x):
         cyclic_subgroup(group_from_table(cyclic_table(6)), x)
 
 
+@pytest.mark.parametrize("x", [-1, 6])
+@pytest.mark.parametrize("call", [
+    lambda group, x: element_order(group, x),
+    lambda group, x: power(group, x, 2),
+    lambda group, x: conjugate(group, x, 1),
+    lambda group, x: conjugate(group, 1, x),
+], ids=["element_order", "power", "conjugate_x", "conjugate_t"])
+def test_element_arithmetic_refuses_an_index_out_of_range(call, x):
+    """-1 would wrap around to the last element, and h would raise a bare IndexError."""
+    with pytest.raises(ValueError, match="out of range for order 6"):
+        call(group_from_table(cyclic_table(6)), x)
+
+
 def test_conjugate_examples():
     group = group_from_generators([THREE_CYCLE, SWAP])
     names = group.element_names

@@ -14,8 +14,6 @@ from sylowlab.subgroups import (
     MAX_LATTICE_SIZE,
     ComplexSet,
     SubgroupSet,
-    _class_orbits,
-    _extensions,
     _mask_of,
     all_subgroups,
     automorphisms,
@@ -35,7 +33,6 @@ from sylowlab.subgroups import (
     lattice,
     normalizer,
     quotient,
-    subgroup_class_ids,
     subgroup_conjugacy_classes,
     subgroups_of_order,
     subgroups_within,
@@ -200,13 +197,24 @@ def test_all_subgroups_matches_layered_extension_oracle(lattice_groups):
         assert got == subgroups_by_layered_extension(group), group.label
 
 
-def first_round_found(group):
-    """The bitsets the lattice's first round, table steps only, reaches."""
-    conj = None if group.is_abelian() else group.conj_table()
-    extend = _extensions(group, conj)
-    found = {1: np.zeros(1, dtype=np.int32)}
-    _class_orbits(group, conj, found, {1: 1}, [1], lambda harr: extend(harr, False))
-    return set(found)
+def closure_calls(monkeypatch, specs):
+    """The labels of the groups, built fresh from specs, whose lattice calls _extend_subgroup.
+
+    Only the second round, with closures on, calls it; the first takes table steps alone.
+    """
+    groups = [build(spec) for spec in specs]
+    calls = []
+    extend = subgroups_module._extend_subgroup
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].label)
+        return extend(*args, **kwargs)
+
+    monkeypatch.setattr(subgroups_module, "_extend_subgroup", counted)
+    for group in groups:
+        lattice(group, cap=group.order)
+    monkeypatch.undo()
+    return groups, list(dict.fromkeys(calls))
 
 
 def assert_same_record(a, b, label):
@@ -222,30 +230,19 @@ EXTRA_PGROUPS = ["cyclic:64", "dihedral:64", "perm:(1 4 7)(2 5 8)(3 6 9);(4 5 6)
                  "perm:(1 2 3 4 5 6 7 8 9);(2 8 5)(3 6 9)"]
 
 
-def test_prime_index_pass_matches_the_general_pass(lattice_groups):
-    """The first round reaches the whole group in every group here but alt:5, and each record is the former general pass's."""
-    groups = lattice_groups + [build(spec) for spec in EXTRA_PGROUPS]
-    non_solvable = []
-    for group in groups:
-        if (1 << group.order) - 1 not in first_round_found(group):
-            non_solvable.append(group.label)
-        assert_same_record(lattice(group), lattice_by_cyclic_extension(group), group.label)
+def test_prime_index_pass_matches_the_general_pass(monkeypatch):
+    """Every group here but alt:5 is done after the first round, and each record is the former general pass's."""
+    specs = [spec for spec, _ in standard_catalog(60)] + ["dihedral:64"] + EXTRA_PGROUPS
+    groups, non_solvable = closure_calls(monkeypatch, specs)
     assert non_solvable == ["alt:5"]
+    for group in groups:
+        assert_same_record(lattice(group), lattice_by_cyclic_extension(group), group.label)
 
 
 def test_solvable_lattices_make_no_closure_call(monkeypatch):
     """A solvable group's lattice is read off the table; only a non-solvable one reaches the closure."""
-    calls = []
-    extend = subgroups_module._extend_subgroup
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].label)
-        return extend(*args, **kwargs)
-
-    monkeypatch.setattr(subgroups_module, "_extend_subgroup", counted)
-    for spec in ["sym:4", "dihedral:60", "prod(cyclic:2,q8)", "elab:2^4", "alt:5"]:
-        lattice(build(spec))
-    assert set(calls) == {"alt:5"}
+    _, calls = closure_calls(monkeypatch, ["sym:4", "dihedral:60", "prod(cyclic:2,q8)", "elab:2^4", "alt:5"])
+    assert calls == ["alt:5"]
 
 
 PSL27 = "perm:(1 2 3 4 5 6 7);(1 2)(3 6)"
@@ -254,16 +251,14 @@ PSL27 = "perm:(1 2 3 4 5 6 7);(1 2)(3 6)"
 @pytest.mark.parametrize("spec, count", [
     ("alt:5", 59), ("sym:5", 156), ("prod(alt:5,cyclic:2)", 164), (PSL27, 179),
 ])
-def test_non_solvable_groups_take_the_second_round(spec, count):
+def test_non_solvable_groups_take_the_second_round(monkeypatch, spec, count):
     """The first round stops short of the whole group; the second, with closures, completes the record.
 
     PSL(2,7) is simple, and 60 does not divide its order 168, so it contains no alt:5.
     """
-    group = build(spec)
+    (group,), calls = closure_calls(monkeypatch, [spec])
     lat = lattice(group, cap=group.order)
-    reached = first_round_found(group)
-    assert (1 << group.order) - 1 not in reached and reached < set(lat.index)
-    assert len(lat.subs) == count
+    assert calls == [group.label] and len(lat.subs) == count
     assert_same_record(lat, lattice_by_cyclic_extension(group), spec)
     assert_record_matches_per_subgroup_routines(group, cap=group.order)
 
@@ -307,13 +302,10 @@ def test_all_subgroups_is_closed_under_conjugation(lattice_groups):
 
 
 def positions_by_class_id(group):
-    """Lattice positions grouped by subgroup_class_ids, classes in id order."""
-    subs = all_subgroups(group)
-    ids = subgroup_class_ids(group)
-    assert len(ids) == len(subs)
+    """Lattice positions grouped by the record's class_id, classes in id order."""
     by_id: dict[int, list[int]] = {}
-    for i, s in enumerate(subs):
-        by_id.setdefault(ids[s.mask], []).append(i)
+    for i, c in enumerate(lattice(group).class_id.tolist()):
+        by_id.setdefault(c, []).append(i)
     assert list(by_id) == list(range(len(by_id)))  # numbered by first occurrence
     return list(by_id.values())
 
@@ -343,8 +335,8 @@ def test_subgroup_class_ids_match_conjugacy_classes(lattice_groups):
     for group in lattice_groups:
         expected = subgroup_conjugacy_classes(all_subgroups(group))
         assert positions_by_class_id(group) == expected, group.label
-    with pytest.raises(TypeError):
-        subgroup_class_ids(lattice_groups[0])[1] = 5
+    with pytest.raises(ValueError):
+        lattice(lattice_groups[0]).class_id[1] = 5
 
 
 def test_subgroup_class_ids_need_no_prior_all_subgroups(monkeypatch):
@@ -352,12 +344,12 @@ def test_subgroup_class_ids_need_no_prior_all_subgroups(monkeypatch):
     group = build("sym:4")
 
     def no_call(*args, **kwargs):
-        raise AssertionError("subgroup_class_ids went through all_subgroups")
+        raise AssertionError("the lattice went through all_subgroups")
 
     monkeypatch.setattr(subgroups_module, "all_subgroups", no_call)
-    ids = subgroup_class_ids(group)
+    ids = lattice(group).class_id
     monkeypatch.undo()
-    assert subgroup_class_ids(group) is ids
+    assert lattice(group).class_id is ids
     assert positions_by_class_id(group) == subgroup_conjugacy_classes(all_subgroups(group))
 
 
@@ -377,9 +369,9 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         all_subgroups(big)
     with pytest.raises(EnumerationCapExceeded):
-        subgroup_class_ids(big)
+        lattice(big)
     assert len(all_subgroups(big, cap=81)) == 212
-    assert len(subgroup_class_ids(big, cap=81)) == 212
+    assert len(lattice(big, cap=81).class_id) == 212
 
 
 def test_subgroups_of_order():
