@@ -89,8 +89,6 @@ def _cmd_sylow(args, caps: Caps) -> int:
 
 def _cmd_decompose(args, caps: Caps) -> int:
     group = _load_group(args.group, caps)
-    if not 0 <= args.element < group.order:
-        raise SylowLabError(f"element index {args.element} out of range for order {group.order}")
     dec = coprime_decomposition(group, args.element, args.a, args.b)
     print(f"element: {args.element} ({group.name_of(args.element)})")
     print(f"alpha={dec.alpha} beta={dec.beta}")

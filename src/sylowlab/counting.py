@@ -37,8 +37,6 @@ from .subgroups import (
     is_characteristic,
     is_normal_within,
     lattice,
-    normalizer,
-    subgroup_conjugacy_classes,
 )
 from .sylow import _require_prime, _require_prime_divides, sylow_chain
 
@@ -411,31 +409,18 @@ def count_normal_within(
     )
 
 
-def _classes_under(lat: Lattice, rows: np.ndarray, acting: SubgroupSet) -> np.ndarray:
-    """Class ids of lattice rows that acting permutes by conjugation, numbered by first occurrence.
-
-    Conjugates under acting are conjugate in G, so a row with no G-conjugate
-    among the rows is alone in its orbit; only the others take an orbit.
-    """
-    ids = lat.class_id[rows]
-    shared = np.flatnonzero(np.bincount(ids)[ids] > 1)
-    first = np.arange(len(rows))
-    for orbit in subgroup_conjugacy_classes([lat.subs[j] for j in rows[shared]], acting=acting):
-        first[shared[orbit]] = shared[orbit[0]]
-    return np.unique(first, return_inverse=True)[1]
-
-
 def _sylow_normals(lat: Lattice, top: SubgroupSet) -> tuple[int, np.ndarray, np.ndarray]:
-    """|N(P)|, the rows of the subgroups normal in a Sylow subgroup P, and their classes under N(P).
+    """|N(P)|, the rows of the subgroups normal in a Sylow subgroup P, and their N(P)-orbits.
 
-    Q <= P is normal in P iff its P-orbit is Q alone, and N(P) permutes
-    these Q.
+    All three are slices of the lattice's action table: Q <= P is normal in
+    P iff every element of P fixes Q's row; N(P), the elements fixing P's
+    row, permutes those Q, and each of its orbits is named by its least row.
     """
-    below = np.flatnonzero(lat.contains[lat.index[top.mask]])
-    in_top = _classes_under(lat, below, top)
-    rows = below[np.bincount(in_top)[in_top] == 1]
-    norm_top = normalizer(top)
-    return norm_top.size, rows, _classes_under(lat, rows, norm_top)
+    top_row = lat.index[top.mask]
+    below = np.flatnonzero(lat.contains[top_row])
+    rows = below[(lat.action[below[:, None], top._arr] == below[:, None]).all(axis=1)]
+    norm_top = np.flatnonzero(lat.action[top_row] == top_row)
+    return norm_top.size, rows, lat.action[rows[:, None], norm_top].min(axis=1)
 
 
 def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:

@@ -28,15 +28,17 @@ def _mask_of(arr: np.ndarray) -> int:
     return mask
 
 
-def subgroup_orbit(conj_rows: np.ndarray, arr: np.ndarray) -> dict[int, np.ndarray]:
-    """Conjugates of the subgroup with members arr, keyed by bitset.
+def subgroup_orbit(conj_rows: np.ndarray, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct conjugates of the subgroup with members arr, as (rows, first, which).
 
     conj_rows holds one conjugation-table row per acting element: pass
-    conj for the whole group or conj[actors] to restrict it. Values are
-    sorted member arrays, in no particular order.
+    conj for the whole group or conj[actors] to restrict it. rows are the
+    conjugates' sorted member arrays, in no particular order; acting row
+    first[i] gives rows[i], and acting row t gives rows[which[t]].
     """
-    rows = {row.tobytes(): row for row in np.sort(conj_rows[:, arr], axis=1)}
-    return {_mask_of(row): row for row in rows.values()}
+    rows = np.ascontiguousarray(np.sort(conj_rows[:, arr], axis=1))
+    _, first, which = np.unique(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel(), return_index=True, return_inverse=True)
+    return rows[first], first, which
 
 
 class ComplexSet:
@@ -215,7 +217,8 @@ class Lattice:
     maps a bitset to its row; contains[i, j] says subs[i] contains subs[j].
     class_id numbers the conjugacy classes by first occurrence; normal is
     class_size == 1; normalizer_order is h / class_size (orbit-stabilizer),
-    so conjugates share it.
+    so conjugates share it. action[i, t] is the row of t^-1 subs[i] t, so
+    the elements fixing row i make up N(subs[i]).
     """
 
     subs: tuple[SubgroupSet, ...]
@@ -226,6 +229,7 @@ class Lattice:
     class_size: np.ndarray
     normal: np.ndarray
     normalizer_order: np.ndarray
+    action: np.ndarray
 
     def of_order(self, m: int) -> slice:
         """The rows of the subgroups of order m."""
@@ -234,7 +238,8 @@ class Lattice:
 
 
 # The most subgroups a lattice may hold. elab:2^6, the largest lattice under
-# the default caps, has 2825; at 4096 the n x n contains matrix is 16 MB.
+# the default caps, has 2825; at 4096 the n x n contains matrix is 16 MB, and
+# the n x h int32 action table at most 8 MB for h up to 512.
 MAX_LATTICE_SIZE = 4096
 
 
@@ -248,8 +253,9 @@ def lattice(group: FiniteGroup, cap: int | None = None) -> Lattice:
     deduplicated on the membership bitset, but only that one subgroup is
     queued. So the found set is always a union of whole classes with one
     queued representative each, and each added orbit is one class of the
-    record. In an abelian group every class is a single subgroup, so the
-    orbit step is skipped.
+    record, with the moves its action table is read from. In an abelian
+    group every subgroup is a class fixed by every element, so the orbit
+    step is skipped.
 
     A queued H is extended by every prime-power element g outside H with
     g^p in H, p the prime of g's order. That misses no subgroup. Every
@@ -267,7 +273,7 @@ def lattice(group: FiniteGroup, cap: int | None = None) -> Lattice:
     argument holds with such an M; and every subgroup this round reaches
     is solvable. So it reaches the whole group exactly when the group is
     solvable, and then the lattice is complete. Otherwise a second round
-    re-queues every class representative found so far, with closures on,
+    re-queues one member of every class found so far, with closures on,
     and finds the rest. Nothing starts over.
 
     Raises EnumerationCapExceeded above the subgroup cap, and during
@@ -289,9 +295,10 @@ def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSe
 def _lattice(group: FiniteGroup) -> Lattice:
     """The lattice record, as lattice describes: one queue, a round without closures, then one with.
 
-    found maps each bitset to its members and rep_of to its class's queued
-    bitset. inside marks H and every subgroup already taken from H, whose
-    elements would only give that subgroup again.
+    found maps each bitset to its members. A class is its members' bitsets
+    and moves[i, t], the position in found of member i conjugated by t.
+    inside marks H and every subgroup already taken from H, whose elements
+    would give it again.
     """
     h, table, powers = group.order, group.table, group.powers
     conj = None if group.is_abelian() else group.conj_table()
@@ -301,11 +308,11 @@ def _lattice(group: FiniteGroup) -> Lattice:
     base = base[elems]
     pth = powers[base, elems]
     found: dict[int, np.ndarray] = {1: np.zeros(1, dtype=np.int32)}
-    rep_of: dict[int, int] = {1: 1}
+    classes: list[tuple[list[int], np.ndarray]] = [([1], np.zeros((1, h), dtype=np.intp))]
     for closures in (False, True):
         if (1 << h) - 1 in found:  # after the first round: the group is solvable, the lattice complete
             break
-        work = deque(dict.fromkeys(rep_of.values()))
+        work = deque(masks[0] for masks, _ in classes)
         while work:
             harr = found[work.popleft()]
             inside = np.zeros(h, dtype=bool)
@@ -327,26 +334,33 @@ def _lattice(group: FiniteGroup) -> Lattice:
                 kmask = _mask_of(karr)
                 if kmask in found:
                     continue
-                orbit = {kmask: karr} if conj is None else subgroup_orbit(conj, karr)
-                found.update(orbit)
-                rep_of.update(dict.fromkeys(orbit, kmask))
+                if conj is None:  # every element fixes K
+                    masks, rows, moves = [kmask], [karr], np.full((1, h), len(found))
+                else:
+                    rows, first, which = subgroup_orbit(conj, karr)
+                    masks, moves = [_mask_of(row) for row in rows], len(found) + which[table[first]]  # (K^s)^t = K^(st)
+                found.update(zip(masks, rows))
+                classes.append((masks, moves))
                 if len(found) > MAX_LATTICE_SIZE:
                     raise EnumerationCapExceeded(
                         f"{group.label} has more than {MAX_LATTICE_SIZE} subgroups, the lattice size bound"
                     )
                 if karr.size < h:
                     work.append(kmask)
-    return _lattice_record(group, found, rep_of)
+    return _lattice_record(group, found, classes)
 
 
-def _lattice_record(group: FiniteGroup, found: dict[int, np.ndarray], rep_of: dict[int, int]) -> Lattice:
-    """The Lattice record of the found subgroups and their class representatives."""
+def _lattice_record(group: FiniteGroup, found: dict[int, np.ndarray], classes: list[tuple[list[int], np.ndarray]]) -> Lattice:
+    """The Lattice record of the found subgroups and their classes; moves give positions in found."""
     subs = [SubgroupSet._unchecked(group, arr) for arr in found.values()]
     subs.sort(key=lambda s: (s.size, s._arr.tolist()))
     n = len(subs)
     sizes = np.array([s.size for s in subs])
-    first: dict[int, int] = {}
-    class_id = np.array([first.setdefault(rep_of[s.mask], len(first)) for s in subs])
+    index = MappingProxyType({s.mask: i for i, s in enumerate(subs)})
+    rows = np.array([index[m] for m in found], dtype=np.int32)  # the row of each found subgroup
+    action = np.empty((n, group.order), dtype=np.int32)
+    action[rows] = rows[np.concatenate([moves for _, moves in classes])]
+    class_id = np.unique(action.min(axis=1), return_inverse=True)[1]  # a class's least row is its first
     class_size = np.bincount(class_id)[class_id]
     nbytes = 8 * -(-group.order // 64)
     words = np.frombuffer(b"".join(s.mask.to_bytes(nbytes, "little") for s in subs), dtype="<u8").reshape(n, -1).T
@@ -357,10 +371,9 @@ def _lattice_record(group: FiniteGroup, found: dict[int, np.ndarray], rep_of: di
             block &= (~word[lo:lo + 256, None] & word) == 0
     normal = class_size == 1
     normalizer_order = group.order // class_size
-    for arr in (sizes, contains, class_id, class_size, normal, normalizer_order):
+    for arr in (sizes, contains, class_id, class_size, normal, normalizer_order, action):
         arr.flags.writeable = False
-    index = MappingProxyType({s.mask: i for i, s in enumerate(subs)})
-    return Lattice(tuple(subs), sizes, index, contains, class_id, class_size, normal, normalizer_order)
+    return Lattice(tuple(subs), sizes, index, contains, class_id, class_size, normal, normalizer_order, action)
 
 
 def subgroups_of_order(group: FiniteGroup, m: int, cap: int | None = None) -> list[SubgroupSet]:
@@ -558,7 +571,7 @@ def subgroup_conjugacy_classes(
     done: set[int] = set()
     for i, s in enumerate(subs):
         if i not in done:
-            orbits.append(sorted(by_mask[m] for m in subgroup_orbit(conj, s._arr) if m in by_mask))
+            orbits.append(sorted(by_mask[m] for m in map(_mask_of, subgroup_orbit(conj, s._arr)[0]) if m in by_mask))
             done.update(orbits[-1])
     return orbits
 

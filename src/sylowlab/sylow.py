@@ -21,10 +21,11 @@ from .errors import (
     NotCoprime,
     NotNormal,
     OrderMismatch,
+    ParentMismatch,
     PrimeDoesNotDivideOrder,
     TrivialSubgroup,
 )
-from .groups import ElementIndex, FiniteGroup, power
+from .groups import ElementIndex, FiniteGroup, _check_element, power
 from .numtheory import is_prime, prime_power_base, valuation
 from .subgroups import SubgroupSet, is_normal
 
@@ -126,7 +127,7 @@ def central_element_of_order_p(pgroup: FiniteGroup, n: SubgroupSet) -> ElementIn
     if p is None:
         raise NotAPGroup(f"order {pgroup.order} is not a prime power")
     if n.parent is not pgroup:
-        raise NotNormal("subgroup does not belong to the given group")
+        raise ParentMismatch("subgroup does not belong to the given group")
     if n.is_trivial():
         raise TrivialSubgroup("need a nontrivial normal subgroup")
     if not is_normal(n):
@@ -146,6 +147,7 @@ def coprime_decomposition(group: FiniteGroup, c: ElementIndex, a: int, b: int) -
     With a x + b y = 1, the parts are c^(b y) and c^(a x); exponents are
     canonicalized so 0 <= beta < a*b. The decomposition is unique.
     """
+    _check_element(group, c)
     if a < 1 or b < 1:
         raise ValueError("part orders must be positive")
     if gcd(a, b) != 1:
@@ -169,6 +171,7 @@ def p_part_decomposition(group: FiniteGroup, x: ElementIndex, p: int) -> Coprime
     if p > group.order:
         raise PrimeDoesNotDivideOrder(f"{p} does not divide {group.order}")
     _require_prime(group, p)
+    _check_element(group, x)
     m = int(group.elem_order[x])
     a = p ** valuation(m, p)
     return coprime_decomposition(group, x, a, m // a)

@@ -191,14 +191,15 @@ def lattice_by_cyclic_extension(group):
 
     One queued representative per conjugacy class, each grown by every
     cyclic prime-power subgroup not inside it, one closure_by_products
-    each; a new subgroup adds its whole conjugation orbit. It makes no
+    each; a new subgroup adds its whole conjugation orbit, with the
+    moves the engine's action table is read from. It makes no
     table steps and needs no second round, so it is the reference for
     both rounds of subgroups.lattice.
     """
     conj = None if group.is_abelian() else group.conj_table()
     trivial = np.zeros(1, dtype=np.int32)
     found = {1: trivial}
-    rep_of = {1: 1}
+    classes = [([1], np.zeros((1, group.order), dtype=np.intp))]
     work = deque([(1, trivial)])
     candidates = prime_power_cyclics(group)
     while work:
@@ -210,12 +211,17 @@ def lattice_by_cyclic_extension(group):
             kmask = _mask_of(karr)
             if kmask in found:
                 continue
-            orbit = {kmask: karr} if conj is None else subgroup_orbit(conj, karr)
-            found.update(orbit)
-            rep_of.update(dict.fromkeys(orbit, kmask))
+            if conj is None:
+                classes.append(([kmask], np.full((1, group.order), len(found))))
+                found[kmask] = karr
+            else:
+                rows, first, which = subgroup_orbit(conj, karr)
+                masks = [_mask_of(row) for row in rows]
+                classes.append((masks, len(found) + which[group.table[first]]))
+                found.update(zip(masks, rows))
             if karr.size < group.order:
                 work.append((kmask, karr))
-    return _lattice_record(group, found, rep_of)
+    return _lattice_record(group, found, classes)
 
 
 def _generating_sequence(group) -> list[int]:

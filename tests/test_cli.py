@@ -96,6 +96,12 @@ def test_decompose_output_and_errors(capsys):
     assert code == 2 and "coprime" in err
 
 
+@pytest.mark.parametrize("element", ["6", "-1"])
+def test_decompose_refuses_an_element_out_of_range(capsys, element):
+    code, out, err = run_cli(capsys, "decompose", "cyclic:6", "--element", element, "--a", "2", "--b", "3")
+    assert (code, out, err) == (2, "", f"error: element index {element} out of range for order 6\n")
+
+
 def test_verify_single_group_passes(capsys):
     code, out, err = run_cli(capsys, "verify", "sym:4")
     assert code == 0 and err == ""

@@ -375,23 +375,38 @@ def test_normal_fusion_check():
 
 
 def test_normal_fusion_check_fails_without_normalizer_fusion(monkeypatch):
-    """With the N(P)-acting orbits split into single subgroups, alt:4's six fused pairs show as witnesses.
+    """With alt:4's order-2 rows fixed by every element, its six fused pairs show as witnesses.
 
-    Only the call acting by N(P) is broken; the one acting by P, which finds
-    P's normal subgroups, runs as it is.
+    Only the action table is patched: class_id still puts the three
+    order-2 subgroups of V4 in one class, while N(P) = alt:4 now leaves
+    each of them alone in its orbit.
     """
     group = build("alt:4")
-    norm_top = normalizer(sylow_chain(group, 2).top)
-    orbits = counting.subgroup_conjugacy_classes
 
-    def unfused(subs, acting=None):
-        return [[i] for i in range(len(subs))] if acting == norm_top else orbits(subs, acting)
+    def unfused(group, cap=None):
+        record = subgroups.lattice(group, cap)
+        action = record.action.copy()
+        twos = np.arange(len(record.subs))[record.of_order(2)]
+        action[twos] = twos[:, None]
+        return dataclasses.replace(record, action=action)
 
-    monkeypatch.setattr(counting, "subgroup_conjugacy_classes", unfused)
+    monkeypatch.setattr(counting, "lattice", unfused)
     rep = normal_fusion_check(group, 2)
     assert not rep.passed and rep.counted == 6
     pairs = [w for w in rep.witnesses if w.startswith("pair ")]
     assert len(pairs) == 6 and all(w.endswith("not conjugate in the Sylow normalizer") for w in pairs)
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "alt:5", "dihedral:16"])
+def test_s5_congruence_and_fusion_scan_no_normalizer(monkeypatch, spec):
+    """S5.7 and S5.III read P-normality, N(P) and the N(P)-orbits off the lattice's action table."""
+
+    def no_scan(a):
+        raise AssertionError(f"normalizer scan of a subgroup of order {a.size}")
+
+    monkeypatch.setattr(subgroups, "_normalizer_scan", no_scan)
+    reports = theorem_suite(build(spec), selected=select_checks("S5.7,S5.III"))
+    assert {r.theorem_id for r in reports} == {"S5.7", "S5.III"} and all(r.passed for r in reports), spec
 
 
 def test_sylow_normals_match_the_normalizer_computation():

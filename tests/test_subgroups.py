@@ -34,6 +34,7 @@ from sylowlab.subgroups import (
     normalizer,
     quotient,
     subgroup_conjugacy_classes,
+    subgroup_orbit,
     subgroups_of_order,
     subgroups_within,
     trivial_subgroup,
@@ -221,7 +222,7 @@ def assert_same_record(a, b, label):
     assert [s.mask for s in a.subs] == [s.mask for s in b.subs], label
     assert [s._arr.tolist() for s in a.subs] == [s._arr.tolist() for s in b.subs], label
     assert dict(a.index) == dict(b.index), label
-    for name in ("sizes", "contains", "class_id", "class_size", "normal", "normalizer_order"):
+    for name in ("sizes", "contains", "class_id", "class_size", "normal", "normalizer_order", "action"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), (label, name)
 
 
@@ -291,6 +292,40 @@ def test_lattice_size_bound_is_above_every_default_cap_lattice():
     assert len(lattice(build("elab:2^6")).subs) == 2825 < MAX_LATTICE_SIZE
 
 
+@pytest.mark.parametrize("spec", ["dihedral:64", "alt:5", "prod(cyclic:2,q8)"])
+def test_subgroup_orbit_names_each_conjugate_and_its_first_actor(spec):
+    """rows are the distinct sorted conjugates; first[i] gives rows[i], t gives rows[which[t]], also for fewer actors."""
+    group = build(spec)
+    conj = group.conj_table()
+    actors = sylow_chain(group, 2).top._arr
+    for sub in lattice(group).subs:
+        for conj_rows in (conj, conj[actors]):
+            rows, first, which = subgroup_orbit(conj_rows, sub._arr)
+            conjugates = np.sort(conj_rows[:, sub._arr], axis=1)
+            assert len({row.tobytes() for row in rows}) == len(rows) == len({row.tobytes() for row in conjugates})
+            assert np.array_equal(rows, conjugates[first]) and np.array_equal(rows[which], conjugates), (spec, sub)
+
+
+# Every group the action table is checked on, with its subgroup cap.
+ACTION_SPECS = ([(spec, None) for spec, _ in standard_catalog(60)] + [(spec, None) for spec in EXTRA_PGROUPS]
+                + [("sym:5", 120), (PSL27, 168), ("alt:6", 360)])
+
+
+def test_action_is_conjugation_of_the_rows():
+    """action[i, t] is the row of t^-1 subs[i] t, and the elements fixing row i make up N(subs[i]).
+
+    Every t is checked up to order 120, and every seventh t above it.
+    """
+    for spec, cap in ACTION_SPECS:
+        group = build(spec)
+        lat = lattice(group, cap)
+        acting = range(0, group.order, 1 if group.order <= 120 else 7)
+        for i, sub in enumerate(lat.subs):
+            conjugates = [lat.index[conjugate_subgroup(sub, t).mask] for t in acting]
+            assert lat.action[i, acting].tolist() == conjugates, (spec, i)
+            assert np.array_equal(np.flatnonzero(lat.action[i] == i), normalizer(sub)._arr), (spec, i)
+
+
 def test_all_subgroups_is_closed_under_conjugation(lattice_groups):
     for group in lattice_groups:
         subs = all_subgroups(group)
@@ -321,7 +356,7 @@ def assert_record_matches_per_subgroup_routines(group, cap=None):
     assert lat.normalizer_order.tolist() == [normalizer(s).size for s in subs], group.label
     for m in divisors(group.order) + [group.order + 1]:
         assert list(lat.subs[lat.of_order(m)]) == [s for s in subs if s.size == m], (group.label, m)
-    arrays = (lat.sizes, lat.contains, lat.class_id, lat.class_size, lat.normal, lat.normalizer_order)
+    arrays = (lat.sizes, lat.contains, lat.class_id, lat.class_size, lat.normal, lat.normalizer_order, lat.action)
     assert not any(a.flags.writeable for a in arrays)
 
 

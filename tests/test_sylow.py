@@ -11,6 +11,7 @@ from sylowlab.errors import (
     NotCoprime,
     NotNormal,
     OrderMismatch,
+    ParentMismatch,
     PrimeDoesNotDivideOrder,
     TrivialSubgroup,
 )
@@ -192,6 +193,8 @@ def test_central_element_errors():
         central_element_of_order_p(d8, generated_subgroup(d8, [4]))
     with pytest.raises(NotAPGroup):
         central_element_of_order_p(build("sym:3"), whole_group(build("sym:3")))
+    with pytest.raises(ParentMismatch, match="does not belong to the given group"):
+        central_element_of_order_p(d8, whole_group(build("dihedral:8")))
 
 
 def test_coprime_decomposition_identity():
@@ -225,6 +228,17 @@ def test_coprime_decomposition_errors():
         coprime_decomposition(c6, 1, 2, 2)
     with pytest.raises(OrderMismatch):
         coprime_decomposition(c6, 1, 3, 4)
+
+
+@pytest.mark.parametrize("x", [6, -1])
+def test_decompositions_refuse_an_element_out_of_range(x):
+    """Index h would read past elem_order, and -1 would wrap round to the last element."""
+    c6 = build("cyclic:6")
+    message = f"element index {x} out of range for order 6"
+    with pytest.raises(ValueError, match=message):
+        coprime_decomposition(c6, x, 2, 3)
+    with pytest.raises(ValueError, match=message):
+        p_part_decomposition(c6, x, 2)
 
 
 def test_decomposition_parts_live_in_the_cyclic_span():
