@@ -32,6 +32,10 @@ _KINDS = {"cyclic", "dihedral", "sym", "alt", "q8", "elab", "prod", "perm", "tab
 HEISENBERG_3_SPEC = "perm:(1 4 7)(2 5 8)(3 6 9);(4 5 6)(7 9 8)"
 EXTRASPECIAL_27_EXP9_SPEC = "perm:(1 2 3 4 5 6 7 8 9);(2 8 5)(3 6 9)"
 
+# The deepest prod( nesting a spec may have. Parsing, building and rendering recurse
+# once per level, so a deeper spec is a parse error, well before the recursion limit.
+MAX_PROD_DEPTH = 256
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -87,7 +91,7 @@ class _Parser:
             self.fail({"end of input"})
         return spec
 
-    def spec(self) -> GroupSpec:
+    def spec(self, depth: int = 0) -> GroupSpec:
         self.skip_ws()
         at_kind = self.pos
         kind = self.ident()
@@ -97,12 +101,15 @@ class _Parser:
         if kind == "q8":
             return GroupSpec("q8", ())
         if kind == "prod":
+            if depth == MAX_PROD_DEPTH:
+                self.pos = at_kind
+                self.fail({f"a spec other than prod (prod nests at most {MAX_PROD_DEPTH} deep)"})
             self.skip_ws()
             self.expect("(")
-            first = self.spec()
+            first = self.spec(depth + 1)
             self.skip_ws()
             self.expect(",")
-            second = self.spec()
+            second = self.spec(depth + 1)
             self.skip_ws()
             self.expect(")")
             return GroupSpec("prod", (first, second))

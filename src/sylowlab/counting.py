@@ -32,6 +32,7 @@ from .subgroups import (
     ComplexSet,
     Lattice,
     SubgroupSet,
+    _vector,
     all_subgroups,  # unused here; perfbench's tracer test patches counting.all_subgroups
     closure_of,
     is_characteristic,
@@ -97,17 +98,21 @@ def _solutions(group: FiniteGroup, n: int) -> np.ndarray:
     return np.flatnonzero(n % group.elem_order == 0).astype(np.int32)
 
 
+def _require_positive(**params: int) -> None:
+    for name, value in params.items():
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
+
+
 def count_solutions(group: FiniteGroup, n: int) -> int:
     """Number of elements whose order divides n."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _require_positive(n=n)
     return int((n % group.elem_order == 0).sum())
 
 
 def count_elements_of_order(group: FiniteGroup, m: int) -> int:
     """Number of elements of order exactly m."""
-    if m < 1:
-        raise ValueError("m must be positive")
+    _require_positive(m=m)
     return int((group.elem_order == m).sum())
 
 
@@ -151,6 +156,7 @@ def solution_subgroup(group: FiniteGroup, n: int, caps: Caps = DEFAULT_CAPS) -> 
     automorphism cap; above it the report says so and checks divisibility
     alone.
     """
+    _require_positive(n=n)
     if group.order % n != 0:
         raise ValueError(f"n={n} must divide the group order {group.order}")
     generated = closure_of(ComplexSet(group, _solutions(group, n)))
@@ -189,8 +195,7 @@ def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSe
     group = r_set.parent
     table = group.table
     base = r_set._arr
-    present = np.zeros(group.order, dtype=bool)
-    present[base] = True
+    present = _vector(base, group.order)
     seq: list[np.ndarray] = []
     seen: dict[bytes, int] = {}
     k = 1
@@ -200,8 +205,7 @@ def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSe
         if seq[-1].size + base.size > group.order:
             present = np.ones(group.order, dtype=bool)
         else:
-            present = np.zeros(group.order, dtype=bool)
-            present[table[np.ix_(seq[-1], base)]] = True
+            present = _vector(table[np.ix_(seq[-1], base)], group.order)
         k += 1
     rr = seen[key]
     ss = k - rr
@@ -217,6 +221,7 @@ def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSe
 
 def power_stabilization_check(group: FiniteGroup, n: int) -> VerificationReport:
     """Powers of the solution set of x^n = identity stabilize at its closure."""
+    _require_positive(n=n)
     if group.order % n != 0:
         raise ValueError(f"n={n} must divide the group order {group.order}")
     sols = ComplexSet(group, _solutions(group, n))
@@ -235,6 +240,7 @@ def power_stabilization_check(group: FiniteGroup, n: int) -> VerificationReport:
 
 def verify_coprime_product(group: FiniteGroup, r: int, s: int) -> VerificationReport:
     """With exactly r solutions of x^r = e and s of x^s = e, all rs products are distinct solutions of x^(rs) = e."""
+    _require_positive(r=r, s=s)
     if gcd(r, s) != 1:
         raise NotCoprime(f"{r} and {s} are not coprime")
     h = group.order
@@ -257,7 +263,7 @@ def verify_coprime_product(group: FiniteGroup, r: int, s: int) -> VerificationRe
     b_arr = _solutions(group, s)
     prods = group.table[np.ix_(a_arr, b_arr)]
     commuting = bool((prods == group.table[np.ix_(b_arr, a_arr)].T).all())
-    distinct = int(np.unique(prods).size) == r * s
+    distinct = np.count_nonzero(_vector(prods, group.order)) == r * s
     count_rs = count_solutions(group, r * s)
     passed = commuting and distinct and count_rs == r * s
     return VerificationReport(

@@ -28,6 +28,13 @@ def _mask_of(arr: np.ndarray) -> int:
     return mask
 
 
+def _vector(indices, h: int) -> np.ndarray:
+    """Boolean membership vector over h elements, True at each index given (repeats allowed)."""
+    vector = np.zeros(h, dtype=bool)
+    vector[indices] = True
+    return vector
+
+
 def subgroup_orbit(conj_rows: np.ndarray, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct conjugates of the subgroup with members arr, as (rows, first, which).
 
@@ -47,17 +54,15 @@ class ComplexSet:
     __slots__ = ("parent", "_arr", "mask", "size")
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
-        if (isinstance(members, np.ndarray) and members.ndim == 1 and members.dtype.kind in "iu"
-                and (members[1:] > members[:-1]).all()):
-            arr = members  # sorted and duplicate-free already, as counting._solutions gives
-        else:
-            arr = np.unique(np.fromiter(members, dtype=np.int64))
-        if arr.size and (arr[0] < 0 or arr[-1] >= parent.order):
+        arr = members
+        if not (isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype.kind in "iu"):
+            arr = np.fromiter(members, dtype=np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= parent.order):
             raise ValueError("members out of range for parent group")
         self.parent = parent
-        self._arr = arr.astype(np.int32)
-        self.mask = _mask_of(arr)
-        self.size = int(arr.size)
+        self._arr = np.flatnonzero(_vector(arr, parent.order)).astype(np.int32)
+        self.mask = _mask_of(self._arr)
+        self.size = int(self._arr.size)
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -83,7 +88,7 @@ class SubgroupSet(ComplexSet):
         if self.size == 0 or self._arr[0] != 0:
             raise ValueError("a subgroup must contain the identity (index 0)")
         prods = parent.table[np.ix_(self._arr, self._arr)]
-        if not _inside(self)[prods].all():
+        if not _vector(self._arr, parent.order)[prods].all():
             raise ValueError("member set is not closed under the group product")
 
     @classmethod
@@ -117,13 +122,6 @@ class SubgroupSet(ComplexSet):
         return f"SubgroupSet(order={self.size}, members=[{shown}{more}])"
 
 
-def _inside(a: SubgroupSet) -> np.ndarray:
-    """Boolean membership vector of A over the parent's elements."""
-    inside = np.zeros(a.parent.order, dtype=bool)
-    inside[a._arr] = True
-    return inside
-
-
 def _require_same_parent(a, b) -> None:
     if a.parent is not b.parent:
         raise ParentMismatch("operands live in different parent groups")
@@ -151,9 +149,8 @@ def _extend_subgroup(group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarra
     """
     h = group.order
     table = group.table
-    present = np.zeros(h, dtype=bool)
-    present[sub_arr] = True
-    outside = np.unique(gen_arr[~present[gen_arr]])
+    present = _vector(sub_arr, h)
+    outside = np.flatnonzero(_vector(gen_arr, h) & ~present)
     if outside.size == 0:
         return sub_arr
     count = sub_arr.size
@@ -171,14 +168,14 @@ def _extend_subgroup(group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarra
             square = int(table[square, square])
         multipliers = np.concatenate((multipliers, powers))
         prods = table[np.ix_(members, powers)].ravel()
-        frontier = np.unique(prods[~present[prods]])
+        frontier = np.flatnonzero(_vector(prods, h) & ~present)
         while frontier.size:
             present[frontier] = True
             count += frontier.size
             if 2 * count > h:
                 return np.arange(h, dtype=np.int32)
             prods = table[np.ix_(frontier, multipliers)].ravel()
-            frontier = np.unique(prods[~present[prods]])
+            frontier = np.flatnonzero(_vector(prods, h) & ~present)
         members = np.flatnonzero(present).astype(np.int32)
     return members
 
@@ -295,28 +292,27 @@ def all_subgroups(group: FiniteGroup, cap: int | None = None) -> list[SubgroupSe
 def _lattice(group: FiniteGroup) -> Lattice:
     """The lattice record, as lattice describes: one queue, a round without closures, then one with.
 
-    found maps each bitset to its members. A class is its members' bitsets
+    found maps each bitset to its subgroup. A class is its members' bitsets
     and moves[i, t], the position in found of member i conjugated by t.
     inside marks H and every subgroup already taken from H, whose elements
     would give it again.
     """
     h, table, powers = group.order, group.table, group.powers
     conj = None if group.is_abelian() else group.conj_table()
-    base_of = {m: prime_power_base(m) or 0 for m in np.unique(group.elem_order).tolist()}
+    base_of = {m: prime_power_base(m) or 0 for m in set(group.elem_order.tolist())}
     base = np.array([base_of[m] for m in group.elem_order.tolist()])  # 0 off the prime-power orders
     elems = np.flatnonzero(base)
     base = base[elems]
     pth = powers[base, elems]
-    found: dict[int, np.ndarray] = {1: np.zeros(1, dtype=np.int32)}
+    found: dict[int, SubgroupSet] = {1: trivial_subgroup(group)}
     classes: list[tuple[list[int], np.ndarray]] = [([1], np.zeros((1, h), dtype=np.intp))]
     for closures in (False, True):
         if (1 << h) - 1 in found:  # after the first round: the group is solvable, the lattice complete
             break
         work = deque(masks[0] for masks, _ in classes)
         while work:
-            harr = found[work.popleft()]
-            inside = np.zeros(h, dtype=bool)
-            inside[harr] = True
+            harr = found[work.popleft()]._arr
+            inside = _vector(harr, h)
             keep = ~inside[elems] & inside[pth]
             cand, primes = elems[keep], base[keep]
             normalises = np.ones(cand.size, dtype=bool) if conj is None else inside[conj[np.ix_(cand, harr)]].all(axis=1)
@@ -331,29 +327,29 @@ def _lattice(group: FiniteGroup) -> Lattice:
                 else:
                     karr = _extend_subgroup(group, harr, np.array([g]))
                     inside[powers[:, g]] = True
-                kmask = _mask_of(karr)
-                if kmask in found:
+                k = SubgroupSet._unchecked(group, karr)
+                if k.mask in found:
                     continue
                 if conj is None:  # every element fixes K
-                    masks, rows, moves = [kmask], [karr], np.full((1, h), len(found))
+                    subs, moves = [k], np.full((1, h), len(found))
                 else:
                     rows, first, which = subgroup_orbit(conj, karr)
-                    masks, moves = [_mask_of(row) for row in rows], len(found) + which[table[first]]  # (K^s)^t = K^(st)
-                found.update(zip(masks, rows))
+                    subs, moves = [SubgroupSet._unchecked(group, row) for row in rows], len(found) + which[table[first]]  # (K^s)^t = K^(st)
+                masks = [s.mask for s in subs]
+                found.update(zip(masks, subs))
                 classes.append((masks, moves))
                 if len(found) > MAX_LATTICE_SIZE:
                     raise EnumerationCapExceeded(
                         f"{group.label} has more than {MAX_LATTICE_SIZE} subgroups, the lattice size bound"
                     )
                 if karr.size < h:
-                    work.append(kmask)
+                    work.append(k.mask)
     return _lattice_record(group, found, classes)
 
 
-def _lattice_record(group: FiniteGroup, found: dict[int, np.ndarray], classes: list[tuple[list[int], np.ndarray]]) -> Lattice:
+def _lattice_record(group: FiniteGroup, found: dict[int, SubgroupSet], classes: list[tuple[list[int], np.ndarray]]) -> Lattice:
     """The Lattice record of the found subgroups and their classes; moves give positions in found."""
-    subs = [SubgroupSet._unchecked(group, arr) for arr in found.values()]
-    subs.sort(key=lambda s: (s.size, s._arr.tolist()))
+    subs = sorted(found.values(), key=lambda s: (s.size, s._arr.tolist()))
     n = len(subs)
     sizes = np.array([s.size for s in subs])
     index = MappingProxyType({s.mask: i for i, s in enumerate(subs)})
@@ -399,7 +395,7 @@ def normalizer(a: SubgroupSet) -> SubgroupSet:
 
 
 def _normalizer_scan(a: SubgroupSet) -> SubgroupSet:
-    rows = _inside(a)[a.parent.conj_table()[:, a._arr]].all(axis=1)
+    rows = _vector(a._arr, a.parent.order)[a.parent.conj_table()[:, a._arr]].all(axis=1)
     return SubgroupSet._unchecked(a.parent, np.flatnonzero(rows).astype(np.int32))
 
 
@@ -436,30 +432,21 @@ class ConjugacyClassPartition:
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
     """Orbits of the conjugation action, smallest element as representative."""
-    conj = group.conj_table()
-    h = group.order
-    class_of = np.full(h, -1, dtype=np.int64)
-    reps: list[int] = []
-    sizes: list[int] = []
-    for x in range(h):
-        if class_of[x] >= 0:
-            continue
-        orbit = np.unique(conj[:, x])
-        class_of[orbit] = len(reps)
-        reps.append(x)
-        sizes.append(int(orbit.size))
+    least = group.conj_table().min(axis=0)  # least[x] is the least conjugate of x, which names its class
+    first = least == np.arange(group.order)
+    class_of = (np.cumsum(first) - 1)[least]
     return ConjugacyClassPartition(
-        class_of=tuple(int(c) for c in class_of),
-        representatives=tuple(reps),
-        class_sizes=tuple(sizes),
+        class_of=tuple(class_of.tolist()),
+        representatives=tuple(np.flatnonzero(first).tolist()),
+        class_sizes=tuple(np.bincount(class_of).tolist()),
     )
 
 
 def intersect(a: SubgroupSet, b: SubgroupSet) -> SubgroupSet:
     """Set intersection, automatically a subgroup."""
     _require_same_parent(a, b)
-    arr = np.intersect1d(a._arr, b._arr).astype(np.int32)
-    return SubgroupSet._unchecked(a.parent, arr)
+    h = a.parent.order
+    return SubgroupSet._unchecked(a.parent, np.flatnonzero(_vector(a._arr, h) & _vector(b._arr, h)).astype(np.int32))
 
 
 def join(a: SubgroupSet, b: SubgroupSet) -> SubgroupSet:
@@ -500,7 +487,7 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> Quotient:
         raise NotNormal("quotient requires a normal subgroup")
     table = group.table
     rep = table[n._arr].min(axis=0)                # rep[x] = min of the coset N x
-    section = np.unique(rep).astype(np.int32)      # sorted minimal representatives
+    section = np.flatnonzero(rep == np.arange(group.order)).astype(np.int32)  # minimal representatives
     lookup = np.full(group.order, -1, dtype=np.int32)
     lookup[section] = np.arange(section.size, dtype=np.int32)
     to_coset = lookup[rep]
@@ -610,8 +597,7 @@ def _automorphism_search(group: FiniteGroup) -> np.ndarray:
     h, orders = group.order, group.elem_order
     table = group.table.astype(np.min_scalar_type(h - 1))  # smallest dtype: small row temporaries
     maps = np.zeros((1, h), dtype=table.dtype)
-    inside = np.zeros(h, dtype=bool)
-    inside[0] = True
+    inside = _vector(0, h)
     gens: list[int] = []
     while not inside.all():
         g = int(np.argmin(inside))
@@ -651,7 +637,7 @@ def _automorphism_search(group: FiniteGroup) -> np.ndarray:
 
 def is_characteristic(a: SubgroupSet, cap: int | None = None) -> bool:
     """True iff every automorphism of the parent maps A onto itself."""
-    return bool(_inside(a)[automorphisms(a.parent, cap)[:, a._arr]].all())
+    return bool(_vector(a._arr, a.parent.order)[automorphisms(a.parent, cap)[:, a._arr]].all())
 
 
 def is_cyclic(group: FiniteGroup) -> bool:

@@ -221,7 +221,8 @@ def lattice_by_cyclic_extension(group):
                 found.update(zip(masks, rows))
             if karr.size < group.order:
                 work.append((kmask, karr))
-    return _lattice_record(group, found, classes)
+    subs = {mask: SubgroupSet._unchecked(group, arr) for mask, arr in found.items()}
+    return _lattice_record(group, subs, classes)
 
 
 def _generating_sequence(group) -> list[int]:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from sylowlab import cli
+from sylowlab.catalog import MAX_PROD_DEPTH
 from sylowlab.config import ENV_CAPS
 from sylowlab.counting import VerificationReport
 
@@ -114,6 +115,25 @@ def test_verify_parse_error_exits_2(capsys):
     assert code == 2 and out == "" and "parse error" in err
 
 
+def nested_prod(depth):
+    return "prod(" * depth + "cyclic:1" + ",cyclic:1)" * depth
+
+
+@pytest.mark.parametrize("depth", [MAX_PROD_DEPTH + 1, 2000])
+def test_deeply_nested_prod_is_a_parse_error(capsys, depth):
+    """A spec nested past the bound exits 2 with one line, not 3 from a RecursionError."""
+    code, out, err = run_cli(capsys, "info", nested_prod(depth))
+    assert code == 2 and out == ""
+    assert err.startswith("error: parse error at offset ") and err.count("\n") == 1
+    assert f"prod nests at most {MAX_PROD_DEPTH} deep" in err
+
+
+@pytest.mark.parametrize("depth", [1, 40, MAX_PROD_DEPTH])
+def test_nested_prod_within_the_bound_builds(capsys, depth):
+    code, out, err = run_cli(capsys, "info", nested_prod(depth))
+    assert code == 0 and err == "" and "order: 1\n" in out
+
+
 def test_verify_missing_table_file_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", f"table:@{tmp_path / 'missing.txt'}")
     assert code == 2 and out == ""
@@ -129,6 +149,30 @@ def test_empty_table_file_gives_one_error_line(tmp_path):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+NUMPY_MA_PROBE = """
+import contextlib, io, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    raise SystemExit("preloaded")
+from sylowlab import cli
+for argv in (["info", "sym:4"], ["classes", "sym:4"], ["subgroups", "sym:4"], ["sylow", "sym:4", "--prime", "2"],
+             ["decompose", "cyclic:6", "--element", "1", "--a", "2", "--b", "3"],
+             ["verify", "sym:4"], ["verify", "alt:5"], ["verify", "cyclic:12"], ["verify", "dihedral:120"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_never_import_numpy_ma():
+    """Element sets are deduplicated through membership vectors; a plain np.unique would import numpy.ma."""
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE],
+                          capture_output=True, text=True, env=env_with_src(), timeout=120)
+    if proc.stderr == "preloaded\n":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

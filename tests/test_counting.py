@@ -195,6 +195,21 @@ def test_verify_coprime_product():
         verify_coprime_product(build("cyclic:6"), 4, 3)
 
 
+@pytest.mark.parametrize("check, args, message", [
+    (solution_subgroup, (0,), "n must be positive"),
+    (solution_subgroup, (-2,), "n must be positive"),
+    (power_stabilization_check, (0,), "n must be positive"),
+    (power_stabilization_check, (-3,), "n must be positive"),
+    (verify_coprime_product, (0, 1), "r must be positive"),
+    (verify_coprime_product, (1, 0), "s must be positive"),
+    (verify_coprime_product, (-1, 1), "r must be positive"),
+])
+def test_section_2_checks_refuse_a_parameter_below_one(check, args, message):
+    """A zero or negative exponent is refused before any division or gcd, never reported on."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(build("cyclic:6"), *args)
+
+
 def test_count_p_subgroups_spot_values():
     s4 = build("sym:4")
     assert [count_p_subgroups(s4, 2, k).counted for k in (1, 2, 3)] == [9, 7, 3]

@@ -79,7 +79,7 @@ def test_mask_of_matches_the_set_of_members(dtype):
 def test_complex_set_takes_any_iterable_of_indices():
     group = build("cyclic:12")
     sources = [[7, 3, 1, 5, 3], {1, 3, 5, 7}, range(1, 8, 2), (x for x in (5, 1, 7, 3)),
-               np.array([7, 5, 3, 1], dtype=np.int32)]
+               np.array([7, 5, 3, 1], dtype=np.int32), np.array([7, 1, 5, 7, 3, 1, 3], dtype=np.int64)]
     for members in sources:
         c = ComplexSet(group, members)
         assert c.members == (1, 3, 5, 7) and c.mask == 0b10101010 and c._arr.dtype == np.int32
@@ -90,7 +90,7 @@ def test_complex_set_takes_any_iterable_of_indices():
 
 @pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:60", "prod(q8,elab:2^6)"])
 def test_complex_set_sorted_array_fast_path_matches_the_general_path(spec):
-    """A sorted, duplicate-free index array skips the sort; the record is the same as from a list."""
+    """A solution array gives the same record as the same indices in a list."""
     group = build(spec)
     for n in divisors(group.order):
         sols = _solutions(group, n)
@@ -479,14 +479,16 @@ def test_conjugacy_classes():
 
 
 def test_conjugacy_classes_match_oracle_and_class_equation():
-    for spec in ("sym:3", "sym:4", "q8", "dihedral:12"):
-        group = build(spec)
+    for group in [group for _, group in standard_catalog(60)] + [build("sym:5"), build("alt:6")]:
         part = conjugacy_classes(group)
-        assert {frozenset(c) for c in part.classes()} == set(conjugacy_partition(group))
+        classes = part.classes()
+        assert {frozenset(c) for c in classes} == set(conjugacy_partition(group)), group.label
         assert sum(part.class_sizes) == group.order
-        for rep, size in zip(part.representatives, part.class_sizes):
+        reps = part.representatives
+        assert all(a < b for a, b in zip(reps, reps[1:]))
+        for c, (rep, size) in enumerate(zip(reps, part.class_sizes)):
+            assert part.class_of[rep] == c and min(classes[c]) == rep and len(classes[c]) == size
             assert size * centralizer(group, rep).size == group.order
-            assert min(part.classes()[part.class_of[rep]]) == rep
 
 
 def test_intersect_and_join():
