@@ -342,8 +342,11 @@ def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:
         spec = parse_spec(spec)
     _validated(spec)
     cap = DEFAULT_CAPS.construction if cap is None else cap
-    label = render(spec)
     kind, args = spec.kind, spec.args
+    if kind == "prod":  # labelled from the built factors, so each node is rendered once
+        a, b = build(args[0], cap), build(args[1], cap)
+        return _build_prod(a, b, f"prod({a.label},{b.label})", cap)
+    label = render(spec)
     if kind == "cyclic":
         _check_order(args[0], cap)
         return _build_cyclic(args[0], label)
@@ -362,8 +365,6 @@ def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:
             raise ClosureExceedsCap(f"group order {args[0]}^{args[1]} exceeds construction cap {cap}")
         _check_order(args[0] ** args[1], cap)
         return _build_elab(args[0], args[1], label)
-    if kind == "prod":
-        return _build_prod(build(args[0], cap), build(args[1], cap), label, cap)
     if kind == "perm":
         degree = max((pt for gen in args for cyc in gen for pt in cyc), default=1)
         _check_degree(degree, cap)

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .catalog import build, parse_spec, render, standard_catalog
+from .catalog import build, parse_spec, standard_catalog
 from .config import Caps, caps_from_env
 from .counting import _members_str, select_checks, theorem_suite
 from .errors import SylowLabError
@@ -106,12 +106,11 @@ def _cmd_verify(args, caps: Caps) -> int:
         raise ValueError(f"--catalog needs a positive order, got {args.catalog}")
     selected = None if args.theorems is None else select_checks(args.theorems)
     if args.catalog is not None:
-        groups = standard_catalog(args.catalog, caps.construction)
+        groups = [group for _, group in standard_catalog(args.catalog, caps.construction)]
     else:
-        spec = parse_spec(args.group)
-        groups = [(render(spec), build(spec, cap=caps.construction))]
+        groups = [build(args.group, cap=caps.construction)]
     failed = False
-    for _, group in groups:
+    for group in groups:
         for report in theorem_suite(group, caps, selected):
             print(report.json_line() if args.json else report.text_line())
             if not report.passed:

@@ -1,9 +1,9 @@
 """Subgroup-level machinery: closure, lattice enumeration, normality,
 centralizers, quotients, conjugacy classes and automorphisms.
 
-Subgroups are bitsets over the parent's element indices. All heavy scans
-go through the parent's cached conjugation table, and every normality
-question reads the subgroup's normalizer, scanned once and memoised.
+Subgroups are bitsets over the parent's element indices. Whole-group scans
+read the parent's cached conjugation table; is_normal_within conjugates by
+the ambient's members alone, straight from the multiplication table.
 """
 
 from __future__ import annotations
@@ -384,23 +384,21 @@ def is_normal(a: SubgroupSet) -> bool:
 
 
 def is_normal_within(a: SubgroupSet, ambient: SubgroupSet) -> bool:
-    """True iff every element of ambient conjugates A to itself."""
+    """True iff every element t of ambient conjugates A to itself: t^-1 x t from two table gathers."""
     _require_same_parent(a, ambient)
-    return normalizer(a).contains_subgroup(ambient)
+    table, t = a.parent.table, ambient._arr[:, None]
+    return bool(_vector(a._arr, a.parent.order)[table[table[a.parent.inverse[t], a._arr], t]].all())
 
 
 def normalizer(a: SubgroupSet) -> SubgroupSet:
-    """All t with t^-1 A t = A; a subgroup containing A, cached per subgroup."""
-    return a.parent.memo(("normalizer", a.mask), lambda: _normalizer_scan(a))
-
-
-def _normalizer_scan(a: SubgroupSet) -> SubgroupSet:
+    """All t with t^-1 A t = A; a subgroup containing A, one scan of the conjugation table."""
     rows = _vector(a._arr, a.parent.order)[a.parent.conj_table()[:, a._arr]].all(axis=1)
     return SubgroupSet._unchecked(a.parent, np.flatnonzero(rows).astype(np.int32))
 
 
 def centralizer(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:
-    """All t with t x = x t."""
+    """All t with t x = x t; ValueError on an index out of range."""
+    _check_element(group, x)
     rows = group.table[:, x] == group.table[x, :]
     return SubgroupSet._unchecked(group, np.flatnonzero(rows).astype(np.int32))
 
@@ -456,7 +454,8 @@ def join(a: SubgroupSet, b: SubgroupSet) -> SubgroupSet:
 
 
 def conjugate_subgroup(a: SubgroupSet, t: ElementIndex) -> SubgroupSet:
-    """t^-1 A t."""
+    """t^-1 A t; ValueError on an index out of range."""
+    _check_element(a.parent, t)
     conj = a.parent.conj_table()
     arr = np.sort(conj[t, a._arr]).astype(np.int32)
     return SubgroupSet._unchecked(a.parent, arr)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from sylowlab import catalog
 from sylowlab.catalog import (
     EXTRASPECIAL_27_EXP9_SPEC,
     HEISENBERG_3_SPEC,
+    MAX_PROD_DEPTH,
     GroupSpec,
     build,
     parse_spec,
@@ -102,6 +104,23 @@ def test_build_is_deterministic():
     assert np.array_equal(a.table, b.table)
     assert a.element_names == b.element_names
     assert a.label == "prod(sym:3,cyclic:2)"
+
+
+def test_build_renders_each_node_of_a_nested_prod_once(monkeypatch):
+    """A prod( label is joined from its built factors' labels, not rendered again per level."""
+    text = "prod(" * MAX_PROD_DEPTH + "cyclic:1" + ",cyclic:1)" * MAX_PROD_DEPTH
+    spec = parse_spec(text)
+    calls = []
+
+    def counted(node):
+        calls.append(node)
+        return render(node)
+
+    monkeypatch.setattr(catalog, "render", counted)
+    group = build(spec)
+    monkeypatch.undo()
+    assert len(calls) <= 2 * MAX_PROD_DEPTH + 1
+    assert group.label == render(spec)
 
 
 def test_build_respects_construction_cap():

@@ -40,6 +40,7 @@ from sylowlab.errors import (
     PrimeDoesNotDivideOrder,
     PrimePowerDoesNotDivideOrder,
 )
+from sylowlab.groups import FiniteGroup
 from sylowlab.numtheory import divisors, prime_factorization, valuation
 from sylowlab.subgroups import (
     ComplexSet,
@@ -419,9 +420,21 @@ def test_s5_congruence_and_fusion_scan_no_normalizer(monkeypatch, spec):
     def no_scan(a):
         raise AssertionError(f"normalizer scan of a subgroup of order {a.size}")
 
-    monkeypatch.setattr(subgroups, "_normalizer_scan", no_scan)
+    monkeypatch.setattr(subgroups, "normalizer", no_scan)
     reports = theorem_suite(build(spec), selected=select_checks("S5.7,S5.III"))
     assert {r.theorem_id for r in reports} == {"S5.7", "S5.III"} and all(r.passed for r in reports), spec
+
+
+@pytest.mark.parametrize("spec", ["dihedral:512", "elab:2^9", "prod(q8,elab:2^6)", "prod(alt:5,dihedral:8)"])
+def test_suite_above_the_lattice_cap_builds_no_conjugation_table(monkeypatch, spec):
+    """Above the lattice cap no check reads the conjugation table: S3.I conjugates inside the tower."""
+
+    def no_table(self):
+        raise AssertionError(f"conjugation table of {self.label}")
+
+    monkeypatch.setattr(FiniteGroup, "conj_table", no_table)
+    reports = theorem_suite(build(spec))
+    assert reports and all(r.passed for r in reports), spec
 
 
 def test_sylow_normals_match_the_normalizer_computation():

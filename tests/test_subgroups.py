@@ -61,6 +61,7 @@ from oracles import (
     table_by_row_index,
     tower_by_quotients,
 )
+from test_sylow import LARGE_SPECS
 
 
 def by_names(group, *names):
@@ -435,22 +436,41 @@ def test_normalizer_examples():
     assert normalizer(sylow3).size == 6
 
 
-def test_normality_reads_one_memoised_normalizer(lattice_groups):
+def test_normalizer_and_is_normal_match_the_former_scans(lattice_groups):
     """normalizer and is_normal agree with the former table scans on every lattice subgroup."""
     for group in lattice_groups:
         for s in all_subgroups(group):
-            norm = normalizer(s)
-            assert normalizer(s) is norm
-            assert list(norm.members) == normalizer_by_scan(s), (group.label, s)
+            assert list(normalizer(s).members) == normalizer_by_scan(s), (group.label, s)
             assert is_normal(s) == is_normal_by_scan(s), (group.label, s)
 
 
+def assert_is_normal_within_matches(group, subs):
+    """On every ordered pair: the former scan, and the normalizer containment it replaced."""
+    norms = [normalizer(a) for a in subs]
+    for a, norm in zip(subs, norms):
+        for b in subs:
+            expected = is_normal_within_by_scan(a, b)
+            assert is_normal_within(a, b) == expected == norm.contains_subgroup(b), (group.label, a, b)
+
+
 def test_is_normal_within_matches_the_former_scan():
+    """Lattice subgroups up to order 24, and the terms of every Sylow tower, also above the lattice cap."""
     for _, group in standard_catalog(24):
-        subs = all_subgroups(group)
-        for a in subs:
-            for b in subs:
-                assert is_normal_within(a, b) == is_normal_within_by_scan(a, b), (group.label, a, b)
+        assert_is_normal_within_matches(group, all_subgroups(group))
+    for group in [g for _, g in standard_catalog(60)] + [build(spec) for spec in LARGE_SPECS]:
+        for p in prime_factorization(group.order):
+            assert_is_normal_within_matches(group, sylow_chain(group, p).chain)
+
+
+@pytest.mark.parametrize("x", [-1, 6])
+@pytest.mark.parametrize("call", [
+    lambda group, x: conjugate_subgroup(cyclic_subgroup(group, 3), x),
+    lambda group, x: centralizer(group, x),
+], ids=["conjugate_subgroup", "centralizer"])
+def test_subgroup_constructions_refuse_an_index_out_of_range(call, x):
+    """-1 would wrap around to the last element, and h would raise a bare IndexError."""
+    with pytest.raises(ValueError, match="out of range for order 6"):
+        call(build("sym:3"), x)
 
 
 def test_centralizer_examples():
