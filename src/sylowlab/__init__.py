@@ -5,7 +5,7 @@ Groups are dense multiplication tables; subgroups are bitsets; every
 theorem check returns a structured report instead of asserting.
 """
 
-from .catalog import GroupSpec, build, parse_spec, render, standard_catalog
+from .catalog import GroupSpec, build, catalog_specs, parse_spec, render, standard_catalog
 from .config import Caps, DEFAULT_CAPS, caps_from_env
 from .counting import (
     KindClassification,
@@ -34,6 +34,7 @@ from .groups import (
     FiniteGroup,
     Permutation,
     conjugate,
+    conjugates,
     element_order,
     group_from_generators,
     group_from_table,

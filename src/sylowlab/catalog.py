@@ -78,7 +78,7 @@ class _Parser:
 
     def integer(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             self.fail({"integer"})
@@ -431,17 +431,15 @@ def _check_factorial(n: int, halved: bool, cap: int) -> None:
             raise ClosureExceedsCap(f"group order {n}!{'/2' if halved else ''} exceeds construction cap {cap}")
 
 
-def standard_catalog(max_order: int, cap: int | None = None) -> list[tuple[str, FiniteGroup]]:
-    """The fixed family of test groups, filtered by order.
+def catalog_specs(max_order: int, cap: int | None = None) -> list[str]:
+    """The spec strings of the fixed family of test groups, filtered by order, each already canonical.
 
     Cyclic groups of every order up to the bound, dihedral groups from
     order 4 up, small symmetric and alternating groups, the quaternion
     group, elementary abelian groups for p in {2, 3, 5}, the nonabelian
-    groups of order p^3 for p in {2, 3}, and three direct products. Names
-    are the spec strings.
+    groups of order p^3 for p in {2, 3}, and three direct products.
     """
-    cap = DEFAULT_CAPS.construction if cap is None else cap
-    bound = min(max_order, cap)
+    bound = min(max_order, DEFAULT_CAPS.construction if cap is None else cap)
     specs: list[str] = []
     specs += [f"cyclic:{n}" for n in range(1, bound + 1)]
     specs += [f"dihedral:{m}" for m in range(4, bound + 1, 2)]
@@ -461,8 +459,9 @@ def standard_catalog(max_order: int, cap: int | None = None) -> list[tuple[str, 
     ):
         if size <= bound:
             specs.append(spec_text)
-    out = []
-    for text in specs:
-        spec = parse_spec(text)
-        out.append((render(spec), build(spec, cap=cap)))
-    return out
+    return specs
+
+
+def standard_catalog(max_order: int, cap: int | None = None) -> list[tuple[str, FiniteGroup]]:
+    """The catalog_specs groups, built, as (spec string, group) pairs."""
+    return [(text, build(text, cap=cap)) for text in catalog_specs(max_order, cap)]

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .catalog import build, parse_spec, standard_catalog
+from .catalog import build, catalog_specs, parse_spec
 from .config import Caps, caps_from_env
 from .counting import _members_str, select_checks, theorem_suite
 from .errors import SylowLabError
@@ -105,13 +105,10 @@ def _cmd_verify(args, caps: Caps) -> int:
     if args.catalog is not None and args.catalog < 1:
         raise ValueError(f"--catalog needs a positive order, got {args.catalog}")
     selected = None if args.theorems is None else select_checks(args.theorems)
-    if args.catalog is not None:
-        groups = [group for _, group in standard_catalog(args.catalog, caps.construction)]
-    else:
-        groups = [build(args.group, cap=caps.construction)]
+    specs = [args.group] if args.catalog is None else catalog_specs(args.catalog, caps.construction)
     failed = False
-    for group in groups:
-        for report in theorem_suite(group, caps, selected):
+    for text in specs:  # one group built at a time, dropped before the next
+        for report in theorem_suite(build(text, cap=caps.construction), caps, selected):
             print(report.json_line() if args.json else report.text_line())
             if not report.passed:
                 failed = True

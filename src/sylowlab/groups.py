@@ -162,13 +162,12 @@ class FiniteGroup:
         return self._cache[key]
 
     def conj_table(self) -> np.ndarray:
-        """conj[t, a] = t^-1 a t, as an h x h array."""
-        # table[inverse][t, a] = t^-1 * a; row t is then right-multiplied by t
-        return self.memo("conj", lambda: self.table[self.table[self.inverse], np.arange(self.order, dtype=np.int32)[:, None]])
+        """conj[t, a] = t^-1 a t, as an h x h array, computed on each call."""
+        return conjugates(self, np.arange(self.order), np.arange(self.order))
 
     def central_mask(self) -> np.ndarray:
         """Boolean mask of the elements that commute with every element."""
-        return self.memo("central", lambda: (self.table == self.table.T).all(axis=1))
+        return (self.table == self.table.T).all(axis=1)
 
     def is_abelian(self) -> bool:
         return bool(self.central_mask().all())
@@ -299,8 +298,14 @@ def power(group: FiniteGroup, x: ElementIndex, k: int) -> ElementIndex:
     return int(group.powers[k % int(group.elem_order[x]), x])
 
 
+def conjugates(group: FiniteGroup, actors, members) -> np.ndarray:
+    """t^-1 x t for every actor t (one row each) and member x (one column each): the one conjugation formula."""
+    t = np.asarray(actors)[:, None]
+    return group.table[group.table[group.inverse[t], members], t]
+
+
 def conjugate(group: FiniteGroup, x: ElementIndex, t: ElementIndex) -> ElementIndex:
     """t^-1 x t; ValueError on an index out of range."""
     _check_element(group, x)
     _check_element(group, t)
-    return int(group.table[group.table[group.inverse[t], x], t])
+    return int(conjugates(group, [t], [x])[0, 0])

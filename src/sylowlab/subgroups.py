@@ -1,9 +1,9 @@
 """Subgroup-level machinery: closure, lattice enumeration, normality,
 centralizers, quotients, conjugacy classes and automorphisms.
 
-Subgroups are bitsets over the parent's element indices. Whole-group scans
-read the parent's cached conjugation table; is_normal_within conjugates by
-the ambient's members alone, straight from the multiplication table.
+Subgroups are bitsets over the parent's element indices. Every conjugation
+is groups.conjugates, gathered from the multiplication table for just the
+acting elements and members it needs; nothing caches a conjugation table.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS
 from .errors import EnumerationCapExceeded, NotNormal, ParentMismatch
-from .groups import ElementIndex, FiniteGroup, _check_element
+from .groups import ElementIndex, FiniteGroup, _check_element, conjugates
 from .numtheory import prime_power_base
 
 
@@ -35,15 +35,13 @@ def _vector(indices, h: int) -> np.ndarray:
     return vector
 
 
-def subgroup_orbit(conj_rows: np.ndarray, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct conjugates of the subgroup with members arr, as (rows, first, which).
+def subgroup_orbit(group: FiniteGroup, actors: np.ndarray, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct conjugates of the subgroup with members arr under actors, as (rows, first, which).
 
-    conj_rows holds one conjugation-table row per acting element: pass
-    conj for the whole group or conj[actors] to restrict it. rows are the
-    conjugates' sorted member arrays, in no particular order; acting row
-    first[i] gives rows[i], and acting row t gives rows[which[t]].
+    rows are the conjugates' sorted member arrays, in no particular order;
+    actors[first[i]] gives rows[i], and actors[j] gives rows[which[j]].
     """
-    rows = np.ascontiguousarray(np.sort(conj_rows[:, arr], axis=1))
+    rows = np.sort(conjugates(group, actors, arr), axis=1)
     _, first, which = np.unique(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel(), return_index=True, return_inverse=True)
     return rows[first], first, which
 
@@ -298,7 +296,7 @@ def _lattice(group: FiniteGroup) -> Lattice:
     would give it again.
     """
     h, table, powers = group.order, group.table, group.powers
-    conj = None if group.is_abelian() else group.conj_table()
+    abelian, everything = group.is_abelian(), np.arange(h)
     base_of = {m: prime_power_base(m) or 0 for m in set(group.elem_order.tolist())}
     base = np.array([base_of[m] for m in group.elem_order.tolist()])  # 0 off the prime-power orders
     elems = np.flatnonzero(base)
@@ -315,7 +313,7 @@ def _lattice(group: FiniteGroup) -> Lattice:
             inside = _vector(harr, h)
             keep = ~inside[elems] & inside[pth]
             cand, primes = elems[keep], base[keep]
-            normalises = np.ones(cand.size, dtype=bool) if conj is None else inside[conj[np.ix_(cand, harr)]].all(axis=1)
+            normalises = np.ones(cand.size, dtype=bool) if abelian else inside[conjugates(group, cand, harr)].all(axis=1)
             if not closures:
                 cand, primes, normalises = cand[normalises], primes[normalises], normalises[normalises]
             for g, p, normal in zip(cand.tolist(), primes.tolist(), normalises.tolist()):
@@ -330,10 +328,10 @@ def _lattice(group: FiniteGroup) -> Lattice:
                 k = SubgroupSet._unchecked(group, karr)
                 if k.mask in found:
                     continue
-                if conj is None:  # every element fixes K
+                if abelian:  # every element fixes K
                     subs, moves = [k], np.full((1, h), len(found))
                 else:
-                    rows, first, which = subgroup_orbit(conj, karr)
+                    rows, first, which = subgroup_orbit(group, everything, karr)
                     subs, moves = [SubgroupSet._unchecked(group, row) for row in rows], len(found) + which[table[first]]  # (K^s)^t = K^(st)
                 masks = [s.mask for s in subs]
                 found.update(zip(masks, subs))
@@ -384,15 +382,15 @@ def is_normal(a: SubgroupSet) -> bool:
 
 
 def is_normal_within(a: SubgroupSet, ambient: SubgroupSet) -> bool:
-    """True iff every element t of ambient conjugates A to itself: t^-1 x t from two table gathers."""
+    """True iff every element t of ambient conjugates A to itself, conjugating by ambient's members only."""
     _require_same_parent(a, ambient)
-    table, t = a.parent.table, ambient._arr[:, None]
-    return bool(_vector(a._arr, a.parent.order)[table[table[a.parent.inverse[t], a._arr], t]].all())
+    return bool(_vector(a._arr, a.parent.order)[conjugates(a.parent, ambient._arr, a._arr)].all())
 
 
 def normalizer(a: SubgroupSet) -> SubgroupSet:
-    """All t with t^-1 A t = A; a subgroup containing A, one scan of the conjugation table."""
-    rows = _vector(a._arr, a.parent.order)[a.parent.conj_table()[:, a._arr]].all(axis=1)
+    """All t with t^-1 A t = A; a subgroup containing A, one scan of A's conjugates."""
+    h = a.parent.order
+    rows = _vector(a._arr, h)[conjugates(a.parent, np.arange(h), a._arr)].all(axis=1)
     return SubgroupSet._unchecked(a.parent, np.flatnonzero(rows).astype(np.int32))
 
 
@@ -456,9 +454,7 @@ def join(a: SubgroupSet, b: SubgroupSet) -> SubgroupSet:
 def conjugate_subgroup(a: SubgroupSet, t: ElementIndex) -> SubgroupSet:
     """t^-1 A t; ValueError on an index out of range."""
     _check_element(a.parent, t)
-    conj = a.parent.conj_table()
-    arr = np.sort(conj[t, a._arr]).astype(np.int32)
-    return SubgroupSet._unchecked(a.parent, arr)
+    return SubgroupSet._unchecked(a.parent, np.sort(conjugates(a.parent, [t], a._arr)[0]))
 
 
 @dataclass(frozen=True)
@@ -548,16 +544,16 @@ def subgroup_conjugacy_classes(
     parent = subs[0].parent
     for s in subs:
         _require_same_parent(s, subs[0])
-    conj = parent.conj_table()
+    actors = np.arange(parent.order)
     if acting is not None:
         _require_same_parent(acting, subs[0])
-        conj = conj[acting._arr]
+        actors = acting._arr
     by_mask = {s.mask: i for i, s in enumerate(subs)}
     orbits: list[list[int]] = []
     done: set[int] = set()
     for i, s in enumerate(subs):
         if i not in done:
-            orbits.append(sorted(by_mask[m] for m in map(_mask_of, subgroup_orbit(conj, s._arr)[0]) if m in by_mask))
+            orbits.append(sorted(by_mask[m] for m in map(_mask_of, subgroup_orbit(parent, actors, s._arr)[0]) if m in by_mask))
             done.update(orbits[-1])
     return orbits
 

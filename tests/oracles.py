@@ -6,11 +6,12 @@ The exceptions are closure_by_products, subgroups_by_layered_extension,
 lattice_by_cyclic_extension, automorphisms_by_backtracking,
 elab_by_digit_array, tower_by_quotients, table_by_row_index,
 is_normal_by_scan, is_normal_within_by_scan, contains_by_member_product,
-power_by_squaring and sylow_normals_by_normalizers, the engine's former
-closure, two former lattice enumerators, automorphism search, elab builder,
-Sylow tower, generator-table builder, normality scans, containment matrix,
-element power and Section 5 normalizer computation, kept as references for
-the code that replaced them. lattice_by_cyclic_extension,
+power_by_squaring, sylow_normals_by_normalizers and
+conj_table_by_inverse_rows, the engine's former closure, two former
+lattice enumerators, automorphism search, elab builder, Sylow tower,
+generator-table builder, normality scans, containment matrix, element
+power, Section 5 normalizer computation and conjugation table, kept as
+references for the code that replaced them. lattice_by_cyclic_extension,
 the former general lattice pass, builds its record with the engine's
 _lattice_record, so a comparison of records checks the enumeration.
 """
@@ -196,7 +197,7 @@ def lattice_by_cyclic_extension(group):
     table steps and needs no second round, so it is the reference for
     both rounds of subgroups.lattice.
     """
-    conj = None if group.is_abelian() else group.conj_table()
+    abelian, everything = group.is_abelian(), np.arange(group.order)
     trivial = np.zeros(1, dtype=np.int32)
     found = {1: trivial}
     classes = [([1], np.zeros((1, group.order), dtype=np.intp))]
@@ -211,11 +212,11 @@ def lattice_by_cyclic_extension(group):
             kmask = _mask_of(karr)
             if kmask in found:
                 continue
-            if conj is None:
+            if abelian:
                 classes.append(([kmask], np.full((1, group.order), len(found))))
                 found[kmask] = karr
             else:
-                rows, first, which = subgroup_orbit(conj, karr)
+                rows, first, which = subgroup_orbit(group, everything, karr)
                 masks = [_mask_of(row) for row in rows]
                 classes.append((masks, len(found) + which[group.table[first]]))
                 found.update(zip(masks, rows))
@@ -317,6 +318,11 @@ def conjugacy_partition(group) -> list[frozenset[int]]:
         seen |= orbit
         classes.append(frozenset(orbit))
     return classes
+
+
+def conj_table_by_inverse_rows(group) -> np.ndarray:
+    """conj[t, a] = t^-1 a t: the engine's former whole-group conjugation table, rows of inverses right-multiplied."""
+    return group.table[group.table[group.inverse], np.arange(group.order, dtype=np.int32)[:, None]]
 
 
 def element_order_oracle(group, x: int) -> int:

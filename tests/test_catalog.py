@@ -1,15 +1,18 @@
 """Group-spec grammar, builders and the standard catalog."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from sylowlab import catalog
+from sylowlab import catalog, cli
 from sylowlab.catalog import (
     EXTRASPECIAL_27_EXP9_SPEC,
     HEISENBERG_3_SPEC,
     MAX_PROD_DEPTH,
     GroupSpec,
     build,
+    catalog_specs,
     parse_spec,
     render,
     standard_catalog,
@@ -74,6 +77,23 @@ def test_parse_error_positions():
         parse_spec("perm:(1 2")
     with pytest.raises(ParseError):
         parse_spec("table:@")
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("cyclic:\u00b2", 7),       # superscript two
+    ("cyclic:\u0663", 7),       # Arabic-Indic three
+    ("elab:\u0663^2", 5),
+    ("perm:(1 \u0662)", 8),     # Arabic-Indic two
+])
+def test_numerals_are_ascii_digits_only(capsys, text, offset):
+    """Other Unicode digits are a parse error at their offset, from the parser and from the CLI alike."""
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert err.value.position == offset and err.value.expected == ["integer"]
+    assert cli.main(["info", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: parse error at offset {offset} ") and captured.err.count("\n") == 1
 
 
 def test_validation_errors():
@@ -253,3 +273,21 @@ def test_sym5_enters_catalog_only_when_caps_allow():
     assert "sym:5" in names
     assert "sym:5" not in [name for name, _ in standard_catalog(119)]
     assert "sym:5" not in [name for name, _ in standard_catalog(120, cap=100)]
+
+
+def test_catalog_specs_are_canonical():
+    """Every spec text is its own rendering, so standard_catalog builds from the text as it stands."""
+    specs = catalog_specs(512)
+    assert len(specs) == len(set(specs)) == 786
+    assert all(text == render(parse_spec(text)) for text in specs)
+
+
+def test_standard_catalog_60_names_and_tables_are_pinned():
+    """The 106 names and multiplication tables, digested in catalog order, are those the catalog has always built."""
+    digest = hashlib.sha256()
+    catalog60 = standard_catalog(60)
+    for name, group in catalog60:
+        assert name == group.label
+        digest.update(name.encode() + b"\n" + group.table.astype("<i4").tobytes())
+    assert len(catalog60) == 106
+    assert digest.hexdigest() == "24c4855ecca5bf7ebfbc4e9e1b3647ecc29076207e397d2ac494d9d625ce752c"

@@ -447,6 +447,40 @@ def test_verify_catalog_60_json_is_the_output_contract(capsys, extra, lines, dig
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Runs the CLI in-process with the given argv, then writes its own peak RSS to stderr: VmHWM, in kB,
+# the high-water mark of the memory this process mapped after exec. ru_maxrss would not do: on Linux
+# it also counts the parent's resident pages at fork and exec, so a large test runner would hide
+# the CLI's own peak.
+PEAK_RSS_PROBE = """
+import sys
+from sylowlab import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")), file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="the peak RSS probe reads /proc/self/status")
+def test_verify_catalog_holds_one_group_at_a_time():
+    """verify --catalog builds each group on its turn, so its peak stays far below the whole catalog's.
+
+    Holding all 402 groups of --catalog 256 at once adds about 72 MB to
+    the peak of a one-group run; one group at a time adds about 24 MB.
+    """
+    runs = {}
+    for argv in (["verify", "cyclic:1", "--json"], ["verify", "--catalog", "256", "--json"]):
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv], capture_output=True,
+                              env=env_with_src(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[argv[1]] = (int(proc.stderr.split()[-1]) / 1024, proc.stdout)
+    (baseline, _), (peak, out) = runs["cyclic:1"], runs["--catalog"]
+    assert out.count(b"\n") == 20141
+    assert hashlib.sha256(out).hexdigest() == "33c61dcbe3b982be995d60f7518d52b10d42060d9bf65c22f2c170a916d5263a"
+    assert peak - baseline < 45, f"peak {peak:.0f} MB against {baseline:.0f} MB for one group"
+
+
 @pytest.mark.parametrize("workload", ["pgroups", "large"])
 def test_benchmark_golden_digests_hold_in_process(monkeypatch, capsys, workload):
     """The p-groups up to order 64 and the groups of order 120-512 give the benchmark's recorded output.

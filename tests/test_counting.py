@@ -40,7 +40,7 @@ from sylowlab.errors import (
     PrimeDoesNotDivideOrder,
     PrimePowerDoesNotDivideOrder,
 )
-from sylowlab.groups import FiniteGroup
+from sylowlab.groups import FiniteGroup, group_from_table
 from sylowlab.numtheory import divisors, prime_factorization, valuation
 from sylowlab.subgroups import (
     ComplexSet,
@@ -425,9 +425,14 @@ def test_s5_congruence_and_fusion_scan_no_normalizer(monkeypatch, spec):
     assert {r.theorem_id for r in reports} == {"S5.7", "S5.III"} and all(r.passed for r in reports), spec
 
 
-@pytest.mark.parametrize("spec", ["dihedral:512", "elab:2^9", "prod(q8,elab:2^6)", "prod(alt:5,dihedral:8)"])
+@pytest.mark.parametrize("spec", ["dihedral:512", "elab:2^9", "prod(q8,elab:2^6)", "prod(alt:5,dihedral:8)",
+                                  "sym:4", "alt:5", "dihedral:16", "prod(cyclic:2,q8)"])
 def test_suite_above_the_lattice_cap_builds_no_conjugation_table(monkeypatch, spec):
-    """Above the lattice cap no check reads the conjugation table: S3.I conjugates inside the tower."""
+    """No check reads the whole conjugation table, above the lattice cap or below it.
+
+    S3.I conjugates inside the tower; the lattice conjugates only the
+    candidates and subgroups it tests, through groups.conjugates.
+    """
 
     def no_table(self):
         raise AssertionError(f"conjugation table of {self.label}")
@@ -597,3 +602,28 @@ def test_lattice_free_selection_skips_lattice_and_automorphisms():
     assert "subgroups" not in group._cache and "automorphisms" not in group._cache
     theorem_suite(group, selected=select_checks("S4.I"))
     assert "subgroups" in group._cache
+
+
+def relabelled(group, rng):
+    """The same group with its non-identity elements renumbered at random, rebuilt from its table."""
+    perm = np.concatenate(([0], 1 + rng.permutation(group.order - 1)))  # old index x becomes perm[x]
+    old = np.argsort(perm)  # the old index of each new one
+    return group_from_table(perm[group.table[np.ix_(old, old)]], label=group.label)
+
+
+def report_multiset(reports):
+    """(theorem id, params, counted, relation, passed) per report, sorted: what does not name an element index."""
+    return sorted(
+        (r.theorem_id, tuple(r.params.items()), json.dumps(r.counted), r.relation, r.passed) for r in reports
+    )
+
+
+def test_reports_are_invariant_under_relabelling():
+    """The suite counts the mathematics, not the element numbering.
+
+    Witnesses and the order of per-subgroup reports follow element
+    indices, so only the multiset of the rest must agree.
+    """
+    rng = np.random.default_rng(9)
+    for spec, group in standard_catalog(60):
+        assert report_multiset(theorem_suite(relabelled(group, rng))) == report_multiset(theorem_suite(group)), spec

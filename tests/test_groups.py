@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import sylowlab
-from sylowlab.catalog import build, standard_catalog
+from sylowlab.catalog import build, catalog_specs, standard_catalog
 from sylowlab.errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
 from sylowlab.groups import (
     Permutation,
     conjugate,
+    conjugates,
     element_order,
     group_from_generators,
     group_from_table,
@@ -20,7 +21,7 @@ from sylowlab.groups import (
 
 from sylowlab.subgroups import cyclic_subgroup
 
-from oracles import brute_closure, element_order_oracle, power_by_squaring
+from oracles import brute_closure, conj_table_by_inverse_rows, element_order_oracle, power_by_squaring
 
 THREE_CYCLE = Permutation([1, 2, 0])      # (1 2 3)
 SWAP = Permutation([1, 0, 2])             # (1 2)
@@ -267,10 +268,9 @@ def test_memo_computes_once_and_stores_arrays_read_only():
 
     first = group.memo("key", compute)
     assert group.memo("key", compute) is first and calls == [1]
-    for arr in (first, group.conj_table(), group.central_mask()):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0
 
 
 def test_only_the_groups_module_names_the_group_cache():
@@ -278,3 +278,20 @@ def test_only_the_groups_module_names_the_group_cache():
     src = Path(sylowlab.__file__).parent
     offenders = [p.name for p in sorted(src.glob("*.py")) if p.name != "groups.py" and "_cache" in p.read_text()]
     assert offenders == []
+
+
+# PSL(2,7), order 168, as permutations of the seven points of the Fano plane.
+CONJUGATION_SPECS = catalog_specs(60) + ["sym:5", "perm:(1 2 3 4 5 6 7);(1 2)(3 6)"]
+
+
+def test_conjugates_match_the_former_conjugation_table():
+    """conj_table and conjugates on random actor and member subsets agree with the former whole-table formula."""
+    rng = np.random.default_rng(21)
+    for spec in CONJUGATION_SPECS:
+        group = build(spec)
+        expected = conj_table_by_inverse_rows(group)
+        assert np.array_equal(group.conj_table(), expected), spec
+        for _ in range(3):
+            actors = rng.choice(group.order, size=rng.integers(1, group.order + 1), replace=False)
+            members = rng.choice(group.order, size=rng.integers(1, group.order + 1), replace=False)
+            assert np.array_equal(conjugates(group, actors, members), expected[np.ix_(actors, members)]), spec

@@ -47,6 +47,7 @@ from oracles import (
     automorphisms_by_backtracking,
     brute_closure,
     closure_by_products,
+    conj_table_by_inverse_rows,
     conjugacy_partition,
     contains_by_member_product,
     is_hom_bijection,
@@ -295,14 +296,13 @@ def test_lattice_size_bound_is_above_every_default_cap_lattice():
 
 @pytest.mark.parametrize("spec", ["dihedral:64", "alt:5", "prod(cyclic:2,q8)"])
 def test_subgroup_orbit_names_each_conjugate_and_its_first_actor(spec):
-    """rows are the distinct sorted conjugates; first[i] gives rows[i], t gives rows[which[t]], also for fewer actors."""
+    """rows are the distinct sorted conjugates; actors[first[i]] gives rows[i], actors[j] gives rows[which[j]]."""
     group = build(spec)
-    conj = group.conj_table()
-    actors = sylow_chain(group, 2).top._arr
-    for sub in lattice(group).subs:
-        for conj_rows in (conj, conj[actors]):
-            rows, first, which = subgroup_orbit(conj_rows, sub._arr)
-            conjugates = np.sort(conj_rows[:, sub._arr], axis=1)
+    conj = conj_table_by_inverse_rows(group)
+    for actors in (np.arange(group.order), sylow_chain(group, 2).top._arr):
+        for sub in lattice(group).subs:
+            rows, first, which = subgroup_orbit(group, actors, sub._arr)
+            conjugates = np.sort(conj[actors][:, sub._arr], axis=1)
             assert len({row.tobytes() for row in rows}) == len(rows) == len({row.tobytes() for row in conjugates})
             assert np.array_equal(rows, conjugates[first]) and np.array_equal(rows[which], conjugates), (spec, sub)
 

@@ -1,8 +1,14 @@
 """Guards for the benchmark tooling that reaches into sylowlab from outside."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
+from collections import Counter
 from pathlib import Path
+
+from sylowlab import cli
+from sylowlab.groups import FiniteGroup
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,3 +33,25 @@ def test_every_traced_name_resolves():
         if not callable(owner):
             missing.append(f"{span}: {module_name}.{path}")
     assert missing == []
+
+
+def test_every_memo_key_kind_is_read_again_on_the_catalog(monkeypatch):
+    """The group cache keeps only what is read again: each key kind stored during verify --catalog 60 gets a hit.
+
+    A kind is the key itself, or its first item for a tuple key such as
+    ("closure", mask). A kind with misses and no hits only costs memory.
+    """
+    misses, hits = Counter(), Counter()
+    memo = FiniteGroup.memo
+
+    def counted(self, key, compute):
+        kind = key[0] if isinstance(key, tuple) else key
+        (hits if key in self._cache else misses)[kind] += 1
+        return memo(self, key, compute)
+
+    monkeypatch.setattr(FiniteGroup, "memo", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--catalog", "60", "--json"]) == 0
+    audit = {kind: (misses[kind], hits[kind]) for kind in misses}
+    assert all(hit > 0 for _, hit in audit.values()), audit
+    assert set(audit) == {"subgroups", "closure", "automorphisms", "sylow_chain"}, audit
