@@ -8,12 +8,12 @@ like "S4.I" or "S5.7" (equation-level checks get the equation number).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import groupby
+from json.encoder import encode_basestring_ascii as _quote  # the C routine json.dumps(ensure_ascii=True) calls
 from math import gcd
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,9 +42,6 @@ from .subgroups import (
 from .sylow import _require_prime, _require_prime_divides, sylow_chain
 
 
-_JSON = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))  # json.dumps would build one per call
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one theorem check on one group."""
@@ -59,17 +56,18 @@ class VerificationReport:
     applicable: bool = True
 
     def json_line(self) -> str:
-        """Serialize as one JSON object with a fixed key order."""
-        payload = {
-            "theorem_id": self.theorem_id,
-            "group": self.group,
-            "params": self.params,
-            "counted": self.counted,
-            "relation": self.relation,
-            "passed": self.passed,
-            "witnesses": self.witnesses,
-        }
-        return _JSON.encode(payload)
+        """Serialize as one JSON object with a fixed key order.
+
+        The line is byte-identical to json.dumps of the same dict with
+        ensure_ascii=True and separators=(",", ":"), filled into one template.
+        """
+        params = ",".join(f"{_quote(k)}:{v}" for k, v in self.params.items())
+        counted = self.counted if isinstance(self.counted, int) else f"[{','.join(map(str, self.counted))}]"
+        return (
+            f'{{"theorem_id":{_quote(self.theorem_id)},"group":{_quote(self.group)},"params":{{{params}}},'
+            f'"counted":{counted},"relation":{_quote(self.relation)},"passed":{"true" if self.passed else "false"},'
+            f'"witnesses":[{",".join(map(_quote, self.witnesses))}]}}'
+        )
 
     def text_line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -118,16 +116,22 @@ def count_elements_of_order(group: FiniteGroup, m: int) -> int:
 
 def verify_divisibility(group: FiniteGroup, n: int) -> VerificationReport:
     """gcd(n, h) divides the number of solutions of x^n = identity."""
-    count = count_solutions(group, n)
-    g = gcd(n, group.order)
-    return VerificationReport(
-        theorem_id="intro.gcd",
-        group=group.label,
-        params={"n": n},
-        counted=count,
-        relation=f"gcd({n},{group.order})={g} divides {count}",
-        passed=count % g == 0,
-    )
+    _require_positive(n=n)
+    return _divisibility_reports(group, [n])[0]
+
+
+def _divisibility_reports(group: FiniteGroup, ns: Sequence[int]) -> list[VerificationReport]:
+    """verify_divisibility for each n in ns, every count from one tally of the element orders."""
+    h, arr = group.order, np.asarray(ns)
+    tally = np.bincount(group.elem_order)
+    orders = np.flatnonzero(tally)
+    counts = ((arr[:, None] % orders == 0) @ tally[orders]).tolist()
+    return [
+        VerificationReport(
+            "intro.gcd", group.label, {"n": n}, count, f"gcd({n},{h})={g} divides {count}", count % g == 0
+        )
+        for n, g, count in zip(ns, np.gcd(arr, h).tolist(), counts)
+    ]
 
 
 def verify_order_p_form(group: FiniteGroup, p: int) -> VerificationReport:
@@ -314,27 +318,31 @@ def count_containing(
     if theta > kappa:
         raise ValueError(f"subgroup order {p}^{theta} exceeds target order {p}^{kappa}")
     lat = lattice(group, caps.subgroups)
-    return _containing_report(group, lat, lat.index[p_sub.mask], p, kappa, theta, _p_witness(p_sub))
+    return _containing_reports(group, lat, p, [lat.index[p_sub.mask]], [kappa])[0]
 
 
-def _p_witness(p_sub: SubgroupSet) -> str:
-    return f"P={_members_str(p_sub._arr)}"
+def _containing_reports(
+    group: FiniteGroup, lat: Lattice, p: int, rows: Sequence[int], kappas: Sequence[int]
+) -> list[VerificationReport]:
+    """count_containing on arguments known valid, for each p-subgroup row and each kappa at or above its exponent.
 
-
-def _containing_report(
-    group: FiniteGroup, lat: Lattice, row: int, p: int, kappa: int, theta: int, witness: str
-) -> VerificationReport:
-    """count_containing on arguments already known valid: lat.subs[row] has order p^theta <= p^kappa."""
-    counted = int(np.count_nonzero(lat.contains[lat.of_order(p**kappa), row]))
-    return VerificationReport(
-        theorem_id="S4.II",
-        group=group.label,
-        params={"p": p, "kappa": kappa, "theta": theta},
-        counted=counted,
-        relation=f"{counted} == 1 (mod {p})",
-        passed=counted % p == 1,
-        witnesses=[witness],
-    )
+    The counts for one kappa are column sums of contains over the
+    order-p^kappa rows, one for all the given rows at once.
+    """
+    counts = [lat.contains[lat.of_order(p**kappa), rows].sum(axis=0).tolist() for kappa in kappas]
+    reports = []
+    for i, row in enumerate(rows):
+        sub = lat.subs[row]
+        theta = valuation(sub.size, p)
+        witness = f"P={_members_str(sub._arr)}"
+        for kappa, column in zip(kappas, counts):
+            if kappa >= theta:
+                counted = column[i]
+                reports.append(VerificationReport(
+                    "S4.II", group.label, {"p": p, "kappa": kappa, "theta": theta}, counted,
+                    f"{counted} == 1 (mod {p})", counted % p == 1, [witness],
+                ))
+    return reports
 
 
 def incidence_check(group: FiniteGroup, p: int, kappa: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
@@ -402,17 +410,33 @@ def count_normal_within(
         raise PrimePowerDoesNotDivideOrder(
             f"{p}^{kappa} does not divide the subgroup order {normal_sub.size}"
         )
-    rows = lat.of_order(p**kappa)
-    counted = int(np.count_nonzero(lat.contains[lat.index[normal_sub.mask], rows] & lat.normal[rows]))
-    return VerificationReport(
-        theorem_id="S5.II",
-        group=pgroup.label,
-        params={"p": p, "kappa": kappa, "normal_order": normal_sub.size},
-        counted=counted,
-        relation=f"{counted} == 1 (mod {p})",
-        passed=counted % p == 1,
-        witnesses=[f"G={_members_str(normal_sub._arr)}"],
-    )
+    return _normal_within_reports(pgroup, lat, p, [lat.index[normal_sub.mask]], [kappa])[0]
+
+
+def _normal_within_reports(
+    pgroup: FiniteGroup, lat: Lattice, p: int, rows: Sequence[int], kappas: Sequence[int]
+) -> list[VerificationReport]:
+    """count_normal_within on arguments known valid, for each normal row and each kappa with p^kappa dividing its order.
+
+    The counts for one kappa are row sums of contains over the normal
+    order-p^kappa subgroups, one for all the given rows at once.
+    """
+    counts = [
+        (lat.contains[rows, order] & lat.normal[order]).sum(axis=1).tolist()
+        for order in (lat.of_order(p**kappa) for kappa in kappas)
+    ]
+    reports = []
+    for i, row in enumerate(rows):
+        sub = lat.subs[row]
+        witness = f"G={_members_str(sub._arr)}"
+        for kappa, column in zip(kappas, counts):
+            if sub.size % p**kappa == 0:
+                counted = column[i]
+                reports.append(VerificationReport(
+                    "S5.II", pgroup.label, {"p": p, "kappa": kappa, "normal_order": sub.size}, counted,
+                    f"{counted} == 1 (mod {p})", counted % p == 1, [witness],
+                ))
+    return reports
 
 
 def _sylow_normals(lat: Lattice, top: SubgroupSet) -> tuple[int, np.ndarray, np.ndarray]:
@@ -574,16 +598,15 @@ FULL_SWEEP_LIMIT = 64  # intro.gcd sweeps every n in 1..h up to this order, the 
 class _Check:
     """One row of the suite table.
 
-    params(group, caps, p) yields the keyword arguments of each report, and
-    run(group, caps, kw) makes the report, looking its check function up by
-    name at call time. Consecutive per_prime rows share one loop over the
-    primes and receive its p; other rows get p=None.
+    reports(group, caps, p) makes every report of the row for one group,
+    calling its check functions through the module globals at call time.
+    Consecutive per_prime rows share one loop over the primes and receive
+    its p; other rows get p=None.
     """
 
     theorem_id: str
     needs_lattice: bool
-    params: Callable[[FiniteGroup, Caps, int | None], Iterable[dict]]
-    run: Callable[[FiniteGroup, Caps, dict], VerificationReport]
+    reports: Callable[[FiniteGroup, Caps, int | None], list[VerificationReport]]
     per_prime: bool = False
 
 
@@ -591,71 +614,53 @@ def _primes(group: FiniteGroup) -> list[int]:
     return sorted(prime_factorization(group.order))
 
 
-def _each_prime(group, caps, p):
-    return [{"p": q} for q in _primes(group)]
-
-
-def _each_divisor(group, caps, p):
-    return [{"n": n} for n in divisors(group.order)]
-
-
-def _moduli(group, caps, p):
+def _moduli(group: FiniteGroup) -> Sequence[int]:
     h = group.order
-    return [{"n": n} for n in (range(1, h + 1) if h <= FULL_SWEEP_LIMIT else divisors(h))]
+    return range(1, h + 1) if h <= FULL_SWEEP_LIMIT else divisors(h)
 
 
-def _coprime_pairs(group, caps, p):
+def _coprime_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
     divs = divisors(group.order)
-    return [{"r": r, "s": s} for i, r in enumerate(divs) for s in divs[i + 1:] if r > 1 and gcd(r, s) == 1]
+    return [(r, s) for i, r in enumerate(divs) for s in divs[i + 1:] if r > 1 and gcd(r, s) == 1]
 
 
-def _kappas(group, caps, p):
-    return [{"p": p, "kappa": kappa} for kappa in range(1, valuation(group.order, p) + 1)]
+def _kappas(group: FiniteGroup, p: int) -> range:
+    return range(1, valuation(group.order, p) + 1)
 
 
-def _p_subgroups(group, caps, p):
-    """Each nontrivial p-subgroup with each exponent from its own up to the Sylow one.
-
-    The arguments of count_containing, valid by construction, so S4.II
-    runs its core, with each subgroup's witness built once.
-    """
+def _p_subgroup_reports(group, caps, p):
+    """S4.II for each nontrivial p-subgroup, with each exponent from its own up to the Sylow one."""
     lat = lattice(group, caps.subgroups)
-    lam = valuation(group.order, p)
-    for theta in range(1, lam + 1):
-        rows = lat.of_order(p**theta)
-        for row in range(rows.start, rows.stop):
-            witness = _p_witness(lat.subs[row])
-            for kappa in range(theta, lam + 1):
-                yield {"lat": lat, "row": row, "p": p, "kappa": kappa, "theta": theta, "witness": witness}
+    kappas = _kappas(group, p)
+    rows = np.flatnonzero(p ** kappas[-1] % lat.sizes == 0)[1:]  # orders dividing p^lambda; row 0 is trivial
+    return _containing_reports(group, lat, p, rows.tolist(), kappas)
 
 
-def _normal_subgroups(group, caps, p):
-    """Each nontrivial normal subgroup with each exponent up to its own, in p-groups only."""
+def _normal_subgroup_reports(group, caps, p):
+    """S5.II for each nontrivial normal subgroup with each exponent up to its own, in p-groups only."""
     primes = _primes(group)
     if len(primes) != 1:
-        return
+        return []
     lat = lattice(group, caps.subgroups)
-    for row in np.flatnonzero(lat.normal)[1:]:  # row 0 is the trivial subgroup
-        sub = lat.subs[row]
-        for kappa in range(1, valuation(sub.size, primes[0]) + 1):
-            yield {"normal_sub": sub, "p": primes[0], "kappa": kappa}
+    rows = np.flatnonzero(lat.normal)[1:]  # row 0 is the trivial subgroup
+    return _normal_within_reports(group, lat, primes[0], rows.tolist(), _kappas(group, primes[0]))
 
 
 _SUITE = (
-    _Check("intro.gcd", False, _moduli, lambda g, caps, kw: verify_divisibility(g, **kw)),
-    _Check("intro.pcount", False, _each_prime, lambda g, caps, kw: verify_order_p_form(g, **kw)),
-    _Check("intro.sylow", True, _each_prime, lambda g, caps, kw: sylow_single_class(g, caps=caps, **kw)),
-    _Check("S3.I", False, _each_prime, lambda g, caps, kw: sylow_chain_check(g, caps=caps, **kw)),
-    _Check("S2.III", False, _each_divisor, lambda g, caps, kw: solution_subgroup(g, caps=caps, **kw)),
-    _Check("S2.power", False, _each_divisor, lambda g, caps, kw: power_stabilization_check(g, **kw)),
-    _Check("S2.IV", False, _coprime_pairs, lambda g, caps, kw: verify_coprime_product(g, **kw)),
-    _Check("S4.I", True, _kappas, lambda g, caps, kw: count_p_subgroups(g, caps=caps, **kw), per_prime=True),
-    _Check("S4.II", True, _p_subgroups, lambda g, caps, kw: _containing_report(g, **kw), per_prime=True),
-    _Check("S4.4", True, _kappas, lambda g, caps, kw: incidence_check(g, caps=caps, **kw), per_prime=True),
-    _Check("S5.I", True, _kappas, lambda g, caps, kw: classify_kinds(g, caps=caps, **kw)[1], per_prime=True),
-    _Check("S5.II", True, _normal_subgroups, lambda g, caps, kw: count_normal_within(g, caps=caps, **kw)),
-    _Check("S5.7", True, _each_prime, lambda g, caps, kw: congruence7(g, caps=caps, **kw)),
-    _Check("S5.III", True, _each_prime, lambda g, caps, kw: normal_fusion_check(g, caps=caps, **kw)),
+    _Check("intro.gcd", False, lambda g, caps, p: _divisibility_reports(g, _moduli(g))),
+    _Check("intro.pcount", False, lambda g, caps, p: [verify_order_p_form(g, q) for q in _primes(g)]),
+    _Check("intro.sylow", True, lambda g, caps, p: [sylow_single_class(g, q, caps) for q in _primes(g)]),
+    _Check("S3.I", False, lambda g, caps, p: [sylow_chain_check(g, q, caps) for q in _primes(g)]),
+    _Check("S2.III", False, lambda g, caps, p: [solution_subgroup(g, n, caps) for n in divisors(g.order)]),
+    _Check("S2.power", False, lambda g, caps, p: [power_stabilization_check(g, n) for n in divisors(g.order)]),
+    _Check("S2.IV", False, lambda g, caps, p: [verify_coprime_product(g, r, s) for r, s in _coprime_pairs(g)]),
+    _Check("S4.I", True, lambda g, caps, p: [count_p_subgroups(g, p, k, caps) for k in _kappas(g, p)], per_prime=True),
+    _Check("S4.II", True, _p_subgroup_reports, per_prime=True),
+    _Check("S4.4", True, lambda g, caps, p: [incidence_check(g, p, k, caps) for k in _kappas(g, p)], per_prime=True),
+    _Check("S5.I", True, lambda g, caps, p: [classify_kinds(g, p, k, caps)[1] for k in _kappas(g, p)], per_prime=True),
+    _Check("S5.II", True, _normal_subgroup_reports),
+    _Check("S5.7", True, lambda g, caps, p: [congruence7(g, q, caps) for q in _primes(g)]),
+    _Check("S5.III", True, lambda g, caps, p: [normal_fusion_check(g, q, caps) for q in _primes(g)]),
 )
 
 
@@ -692,5 +697,5 @@ def theorem_suite(
                  and (selected is None or c.theorem_id in selected)]
         for p in _primes(group) if per_prime else (None,):
             for check in block:
-                reports.extend(check.run(group, caps, kw) for kw in check.params(group, caps, p))
+                reports.extend(check.reports(group, caps, p))
     return reports

@@ -52,15 +52,21 @@ class ComplexSet:
     __slots__ = ("parent", "_arr", "mask", "size")
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
+        self._store(parent, members)
+
+    def _store(self, parent: FiniteGroup, members: Iterable[int]) -> np.ndarray:
+        """Set the fields from members, deduplicated and sorted; returns their membership vector."""
         arr = members
         if not (isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype.kind in "iu"):
             arr = np.fromiter(members, dtype=np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= parent.order):
             raise ValueError("members out of range for parent group")
+        present = _vector(arr, parent.order)
         self.parent = parent
-        self._arr = np.flatnonzero(_vector(arr, parent.order)).astype(np.int32)
+        self._arr = np.flatnonzero(present).astype(np.int32)
         self.mask = _mask_of(self._arr)
         self.size = int(self._arr.size)
+        return present
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -82,11 +88,10 @@ class SubgroupSet(ComplexSet):
     __slots__ = ()
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
-        super().__init__(parent, members)
-        if self.size == 0 or self._arr[0] != 0:
+        present = self._store(parent, members)
+        if not present[0]:
             raise ValueError("a subgroup must contain the identity (index 0)")
-        prods = parent.table[np.ix_(self._arr, self._arr)]
-        if not _vector(self._arr, parent.order)[prods].all():
+        if not present[parent.table[np.ix_(self._arr, self._arr)]].all():
             raise ValueError("member set is not closed under the group product")
 
     @classmethod
@@ -354,7 +359,10 @@ def _lattice_record(group: FiniteGroup, found: dict[int, SubgroupSet], classes: 
     rows = np.array([index[m] for m in found], dtype=np.int32)  # the row of each found subgroup
     action = np.empty((n, group.order), dtype=np.int32)
     action[rows] = rows[np.concatenate([moves for _, moves in classes])]
-    class_id = np.unique(action.min(axis=1), return_inverse=True)[1]  # a class's least row is its first
+    lengths = np.array([len(masks) for masks, _ in classes])
+    least = np.minimum.reduceat(rows, np.cumsum(lengths) - lengths)  # found holds each class in one run
+    class_id = np.empty(n, dtype=np.intp)
+    class_id[rows] = np.repeat(least.argsort().argsort(), lengths)  # numbered by least row, that is by first row
     class_size = np.bincount(class_id)[class_id]
     nbytes = 8 * -(-group.order // 64)
     words = np.frombuffer(b"".join(s.mask.to_bytes(nbytes, "little") for s in subs), dtype="<u8").reshape(n, -1).T

@@ -6,12 +6,13 @@ The exceptions are closure_by_products, subgroups_by_layered_extension,
 lattice_by_cyclic_extension, automorphisms_by_backtracking,
 elab_by_digit_array, tower_by_quotients, table_by_row_index,
 is_normal_by_scan, is_normal_within_by_scan, contains_by_member_product,
-power_by_squaring, sylow_normals_by_normalizers and
-conj_table_by_inverse_rows, the engine's former closure, two former
-lattice enumerators, automorphism search, elab builder, Sylow tower,
-generator-table builder, normality scans, containment matrix, element
-power, Section 5 normalizer computation and conjugation table, kept as
-references for the code that replaced them. lattice_by_cyclic_extension,
+power_by_squaring, sylow_normals_by_normalizers,
+conj_table_by_inverse_rows and class_ids_by_least_action, the engine's
+former closure, two former lattice enumerators, automorphism search,
+elab builder, Sylow tower, generator-table builder, normality scans,
+containment matrix, element power, Section 5 normalizer computation,
+conjugation table and lattice class numbering, kept as references for
+the code that replaced them. lattice_by_cyclic_extension,
 the former general lattice pass, builds its record with the engine's
 _lattice_record, so a comparison of records checks the enumeration.
 """
@@ -470,3 +471,8 @@ def sylow_normals_by_normalizers(lat, top) -> tuple[int, list[int], list[tuple[i
         norm_q = normalizer_by_scan(lat.subs[j])
         sides.append((h // len(norm_q), len(norm_top) // len(norm_top.intersection(norm_q))))
     return len(norm_top), rows, sides
+
+
+def class_ids_by_least_action(lat) -> np.ndarray:
+    """The engine's former class ids: each row's least conjugate row, read off the action table, ranked."""
+    return np.unique(lat.action.min(axis=1), return_inverse=True)[1]

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, caps env, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from sylowlab import cli
-from sylowlab.catalog import MAX_PROD_DEPTH
+from sylowlab.catalog import MAX_PROD_DEPTH, build
 from sylowlab.config import ENV_CAPS
-from sylowlab.counting import VerificationReport
+from sylowlab.counting import VerificationReport, theorem_suite
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -331,6 +332,24 @@ def test_verify_json_lines_schema(capsys):
         payload = json.loads(line)
         assert list(payload) == ["theorem_id", "group", "params", "counted", "relation", "passed", "witnesses"]
         assert payload["group"] == "cyclic:6"
+
+
+def test_verify_json_escapes_the_group_label(capsys, tmp_path):
+    """A table:@ path with a quote, a backslash and a non-ASCII letter is escaped as json.dumps escapes it."""
+    folder = tmp_path / 'q"b\\\u00e9'
+    folder.mkdir()
+    path = folder / "c3.txt"
+    path.write_text("0 1 2\n1 2 0\n2 0 1\n")
+    spec = f"table:@{path}"
+    code, out, _ = run_cli(capsys, "verify", spec, "--json")
+    reports = theorem_suite(build(spec))
+    assert code == 0 and out.isascii() and out.count("\n") == len(reports) > 0
+    for line, report in zip(out.splitlines(), reports):
+        payload = json.loads(line)
+        expected = dataclasses.asdict(report)
+        del expected["applicable"]
+        assert payload == expected and payload["group"] == spec
+        assert line == json.dumps(payload, ensure_ascii=True, separators=(",", ":"))
 
 
 def test_verify_theorem_filter(capsys):

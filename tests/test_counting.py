@@ -60,6 +60,7 @@ from sylowlab.sylow import p_part_decomposition, sylow_chain
 
 from oracles import sylow_normals_by_normalizers
 from test_subgroups import EXTRA_PGROUPS, PSL27
+from test_sylow import LARGE_SPECS
 
 
 def test_count_solutions_examples():
@@ -618,12 +619,77 @@ def report_multiset(reports):
     )
 
 
-def test_reports_are_invariant_under_relabelling():
+@pytest.fixture(scope="module")
+def suites():
+    """(spec, group, theorem_suite(group)) for standard_catalog(60), dihedral:64 and cyclic:64 (pgroups specs it lacks)."""
+    groups = standard_catalog(60) + [(spec, build(spec)) for spec in ("dihedral:64", "cyclic:64")]
+    return [(spec, group, theorem_suite(group)) for spec, group in groups]
+
+
+def test_reports_are_invariant_under_relabelling(suites):
     """The suite counts the mathematics, not the element numbering.
 
     Witnesses and the order of per-subgroup reports follow element
-    indices, so only the multiset of the rest must agree.
+    indices, so only the multiset of the rest must agree. The batched
+    rows read index order too: witness order and row slices.
     """
     rng = np.random.default_rng(9)
-    for spec, group in standard_catalog(60):
-        assert report_multiset(theorem_suite(relabelled(group, rng))) == report_multiset(theorem_suite(group)), spec
+    for spec, group, reports in suites:
+        assert report_multiset(theorem_suite(relabelled(group, rng))) == report_multiset(reports), spec
+
+
+def only(reports, theorem_id):
+    return [r for r in reports if r.theorem_id == theorem_id]
+
+
+def test_batched_rows_match_their_single_report_functions(suites):
+    """intro.gcd, S4.II and S5.II count all of one group's reports at once.
+
+    Each report must be the one its single-report function gives, in the
+    order of the former per-report loops, and each count the naive one.
+    """
+    for spec, group, reports in suites:
+        h, lat = group.order, subgroups.lattice(group)
+        ns = range(1, h + 1) if h <= counting.FULL_SWEEP_LIMIT else divisors(h)
+        assert only(reports, "intro.gcd") == [verify_divisibility(group, n) for n in ns], spec
+        assert [r.counted for r in only(reports, "intro.gcd")] == [count_solutions(group, n) for n in ns], spec
+        containing = []
+        for p in sorted(prime_factorization(h)):
+            lam = valuation(h, p)
+            for theta in range(1, lam + 1):
+                for sub in subgroups_of_order(group, p**theta):
+                    for kappa in range(theta, lam + 1):
+                        containing.append(count_containing(group, sub, p, kappa))
+                        above = subgroups_of_order(group, p**kappa)
+                        assert containing[-1].counted == sum(s.contains_subgroup(sub) for s in above), (spec, sub)
+        assert only(reports, "S4.II") == containing, spec
+        normal_within = []
+        if len(prime_factorization(h)) == 1:
+            (p,) = prime_factorization(h)
+            normal = {s.mask for s in lat.subs if is_normal(s)}
+            for sub in [s for s in lat.subs[1:] if s.mask in normal]:
+                for kappa in range(1, valuation(sub.size, p) + 1):
+                    normal_within.append(count_normal_within(group, sub, p, kappa))
+                    below = subgroups_of_order(group, p**kappa)
+                    naive = sum(sub.contains_subgroup(q) and q.mask in normal for q in below)
+                    assert normal_within[-1].counted == naive, (spec, sub)
+        assert only(reports, "S5.II") == normal_within, spec
+
+
+@pytest.mark.parametrize("spec", LARGE_SPECS)
+def test_batched_divisibility_on_large_groups(spec):
+    """Above FULL_SWEEP_LIMIT intro.gcd counts the divisors of h, as verify_divisibility and count_solutions do."""
+    group = build(spec)
+    ns = divisors(group.order)
+    reports = theorem_suite(group, selected=frozenset({"intro.gcd"}))
+    assert reports == [verify_divisibility(group, n) for n in ns]
+    assert [r.counted for r in reports] == [count_solutions(group, n) for n in ns]
+
+
+def test_json_line_is_json_dumps_of_the_payload(suites):
+    """The line template is byte-identical to json.dumps with ASCII escapes and compact separators."""
+    for spec, _, reports in suites:
+        for report in reports:
+            payload = dataclasses.asdict(report)
+            del payload["applicable"]
+            assert report.json_line() == json.dumps(payload, ensure_ascii=True, separators=(",", ":")), spec

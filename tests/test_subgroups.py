@@ -46,6 +46,7 @@ from sylowlab.sylow import sylow_chain
 from oracles import (
     automorphisms_by_backtracking,
     brute_closure,
+    class_ids_by_least_action,
     closure_by_products,
     conj_table_by_inverse_rows,
     conjugacy_partition,
@@ -117,10 +118,13 @@ def test_generated_subgroup_rejects_out_of_range_indices():
 
 def test_subgroup_set_validation():
     s3 = build("sym:3")
-    with pytest.raises(ValueError):
-        SubgroupSet(s3, [1, 2])          # no identity
-    with pytest.raises(ValueError):
-        SubgroupSet(s3, [0, 1])          # not closed
+    for members in ([1, 2], []):
+        with pytest.raises(ValueError, match=r"^a subgroup must contain the identity \(index 0\)$"):
+            SubgroupSet(s3, members)
+    with pytest.raises(ValueError, match="^member set is not closed under the group product$"):
+        SubgroupSet(s3, [0, 1])
+    with pytest.raises(ValueError, match="^members out of range for parent group$"):
+        SubgroupSet(s3, [0, 6])
     ok = SubgroupSet(s3, [0, 1, 3])
     assert ok.size == 3 and 3 in ok and 2 not in ok
 
@@ -198,6 +202,13 @@ def test_all_subgroups_matches_layered_extension_oracle(lattice_groups):
     for group in lattice_groups:
         got = [s.members for s in all_subgroups(group)]
         assert got == subgroups_by_layered_extension(group), group.label
+
+
+def test_class_ids_match_the_least_action_oracle(lattice_groups):
+    """Class ids numbered from the lattice's classes list agree with ranking each action row's least entry."""
+    for group in lattice_groups + [build("cyclic:64")]:
+        lat = lattice(group)
+        assert np.array_equal(lat.class_id, class_ids_by_least_action(lat)), group.label
 
 
 def closure_calls(monkeypatch, specs):
