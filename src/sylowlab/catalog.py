@@ -254,8 +254,11 @@ def _cycles_to_permutation(gen: tuple, degree: int) -> Permutation:
 def _build_cyclic(n: int, label: str) -> FiniteGroup:
     idx = np.arange(n, dtype=np.int32)
     table = (idx[:, None] + idx[None, :]) % n
-    names = ["e"] + ["g" if i == 1 else f"g^{i}" for i in range(1, n)]
-    return FiniteGroup(table, label=label, element_names=names)
+    return FiniteGroup(table, label=label, element_names=lambda: _cyclic_names(n))
+
+
+def _cyclic_names(n: int) -> list[str]:
+    return ["e"] + ["g" if i == 1 else f"g^{i}" for i in range(1, n)]
 
 
 def _build_dihedral(order: int, label: str) -> FiniteGroup:
@@ -266,9 +269,12 @@ def _build_dihedral(order: int, label: str) -> FiniteGroup:
     table[:n, n:] = n + (i[None, :] - i[:, None]) % n        # rot then refl
     table[n:, :n] = n + (i[:, None] + i[None, :]) % n        # refl then rot
     table[n:, n:] = (i[None, :] - i[:, None]) % n            # refl then refl
+    return FiniteGroup(table, label=label, element_names=lambda: _dihedral_names(n))
+
+
+def _dihedral_names(n: int) -> list[str]:
     names = ["e"] + [f"r^{k}" if k > 1 else "r" for k in range(1, n)]
-    names += ["s"] + [f"s r^{k}" if k > 1 else "s r" for k in range(1, n)]
-    return FiniteGroup(table, label=label, element_names=names)
+    return names + ["s"] + [f"s r^{k}" if k > 1 else "s r" for k in range(1, n)]
 
 
 def _build_sym(n: int, label: str, cap: int) -> FiniteGroup:
@@ -312,28 +318,41 @@ def _build_q8(label: str) -> FiniteGroup:
 
 
 def _build_elab(p: int, k: int, label: str) -> FiniteGroup:
-    """(Z/p)^k with element i coded by its base-p digits, added digit by digit mod p."""
-    h = p**k
-    codes = np.arange(h, dtype=np.int32)
+    """(Z/p)^k with element i coded by its base-p digits, added digit by digit mod p.
+
+    The table is the k-fold direct product of Z/p's: each factor puts one
+    more digit in front, as the most significant.
+    """
+    digit = np.arange(p, dtype=np.int32)
+    step = (digit[:, None] + digit) % p
+    table = step
+    for _ in range(k - 1):
+        table = _product_table(step, table)
+    return FiniteGroup(table, label=label, element_names=lambda: _elab_names(p, k))
+
+
+def _elab_names(p: int, k: int) -> list[str]:
     weights = [p**d for d in range(k - 1, -1, -1)]
-    table = np.zeros((h, h), dtype=np.int32)
-    for w in weights:
-        digit = codes // w % p
-        table += (digit[:, None] + digit) % p * w
-    names = ["(" + ",".join(str(i // w % p) for w in weights) + ")" for i in range(h)]
-    return FiniteGroup(table, label=label, element_names=names)
+    return ["(" + ",".join(str(i // w % p) for w in weights) + ")" for i in range(p**k)]
+
+
+def _product_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The direct product's table, with (x, y) at index x * |B| + y."""
+    order = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b.shape[0] + b[None, :, None, :]).reshape(order, order)
 
 
 def _build_prod(a: FiniteGroup, b: FiniteGroup, label: str, cap: int) -> FiniteGroup:
     order = a.order * b.order
     if order > cap:
         raise ClosureExceedsCap(f"product order {order} exceeds cap {cap}")
-    table = (a.table[:, None, :, None].astype(np.int64) * b.order + b.table[None, :, None, :])
-    table = table.reshape(order, order).astype(np.int32)
-    names = None
-    if a.element_names is not None and b.element_names is not None:
-        names = [f"({na},{nb})" for na in a.element_names for nb in b.element_names]
-    return FiniteGroup(table, label=label, element_names=names)
+    return FiniteGroup(_product_table(a.table, b.table), label=label, element_names=lambda: _prod_names(a, b))
+
+
+def _prod_names(a: FiniteGroup, b: FiniteGroup) -> list[str] | None:
+    if a.element_names is None or b.element_names is None:
+        return None
+    return [f"({na},{nb})" for na in a.element_names for nb in b.element_names]
 
 
 def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:

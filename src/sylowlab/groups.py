@@ -9,7 +9,8 @@ Conjugation is t^-1 x t throughout.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -100,7 +101,10 @@ class FiniteGroup:
     Construct through group_from_table, group_from_generators or
     catalog.build; the constructor itself trusts the table to be
     associative and only derives inverses, the power table and element
-    orders.
+    orders. element_names and perms may each be given as a function that
+    makes them; it runs on the first read of the attribute, and must not
+    refer to the group it builds, so that the group is freed with its
+    last reference.
     """
 
     def __init__(
@@ -108,8 +112,8 @@ class FiniteGroup:
         table: np.ndarray,
         *,
         label: str | None = None,
-        element_names: Sequence[str] | None = None,
-        perms: Sequence[Permutation] | None = None,
+        element_names: Sequence[str] | Callable[[], Sequence[str]] | None = None,
+        perms: Sequence[Permutation] | Callable[[], Sequence[Permutation]] | None = None,
     ):
         table = np.ascontiguousarray(table, dtype=np.int32)
         h = table.shape[0]
@@ -118,24 +122,25 @@ class FiniteGroup:
         self.order: int = h
         self.table = table
         self.identity: ElementIndex = 0
-        rng = np.arange(h, dtype=np.int32)
-        if not (np.array_equal(table[0], rng) and np.array_equal(table[:, 0], rng)):
-            bad = int(np.argmax(table[0] != rng)) if not np.array_equal(table[0], rng) else int(np.argmax(table[:, 0] != rng))
-            raise NotAGroup("identity", (bad,))
-        has_inv = (table == 0).any(axis=1)
-        if not has_inv.all():
-            raise NotAGroup("inverse", (int(np.argmin(has_inv)),))
-        self.inverse = np.argmax(table == 0, axis=1).astype(np.int32)
-        self.powers = _power_table(table)
-        self.elem_order = np.argmax(self.powers[1:] == 0, axis=0).astype(np.int32) + 1
+        self.inverse = _inverse(table)
+        self.powers, self.elem_order = _power_table(table)
         self.label = label if label is not None else f"group{h}"
-        self.element_names = tuple(element_names) if element_names is not None else None
-        self.perms = tuple(perms) if perms is not None else None
+        self._makers = {"element_names": element_names, "perms": perms}
         self.table.flags.writeable = False
         self.inverse.flags.writeable = False
         self.powers.flags.writeable = False
         self.elem_order.flags.writeable = False
         self._cache: dict = {}
+
+    @cached_property
+    def element_names(self) -> tuple[str, ...] | None:
+        """Each element's name, or None; made on first read."""
+        return _made(self._makers.pop("element_names"))
+
+    @cached_property
+    def perms(self) -> tuple[Permutation, ...] | None:
+        """Each element as a Permutation, for groups built from generators, else None; made on first read."""
+        return _made(self._makers.pop("perms"))
 
     # -- element arithmetic --
 
@@ -180,18 +185,46 @@ class FiniteGroup:
         return f"FiniteGroup({self.label}, order={self.order})"
 
 
-def _power_table(table: np.ndarray) -> np.ndarray:
-    """powers[k, x] = x^k for k = 0..m, m the largest element order: rows until every x has met the identity."""
+def _made(source) -> tuple | None:
+    """A lazily made attribute's value: source, or what the function source makes, as a tuple."""
+    value = source() if callable(source) else source
+    return None if value is None else tuple(value)
+
+
+def _inverse(table: np.ndarray) -> np.ndarray:
+    """inverse[x], once the identity axiom (element 0) and then the inverse axiom hold; NotAGroup with a witness otherwise."""
+    rng = np.arange(table.shape[0], dtype=np.int32)
+    for line in (table[0], table[:, 0]):
+        if not np.array_equal(line, rng):
+            raise NotAGroup("identity", (int(np.argmax(line != rng)),))
+    has_inv = (table == 0).any(axis=1)
+    if not has_inv.all():
+        raise NotAGroup("inverse", (int(np.argmin(has_inv)),))
+    return np.argmax(table == 0, axis=1).astype(np.int32)
+
+
+def _power_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, orders): powers[k, x] = x^k for k = 0..m, m the largest element order, and the order of each x.
+
+    Built by doubling: with rows 0..k known, rows k+1..2k are x^k x^j for
+    j = 1..k, one gather per step, until every x has met the identity.
+    That needs an associative table, which group_from_table checks first.
+    """
     h = table.shape[0]
-    idx = np.arange(h, dtype=np.int32)
-    rows = [np.zeros(h, dtype=np.int32), idx]
-    met = idx == 0
+    flat = table.ravel()
+    powers = np.zeros((2, h), dtype=np.int32)
+    powers[1] = np.arange(h)
+    met = powers[1] == 0
+    k = 1
     while not met.all():
-        rows.append(table[rows[-1], idx])
-        met |= rows[-1] == 0
-        if len(rows) > h + 1:  # row h+1 reached: unreachable for a true group table; guards bad input
+        if k >= h:  # unreachable for a group table, where every order divides h; guards bad input
             raise NotAGroup("inverse", (int(np.argmin(met)),))
-    return np.array(rows)
+        doubled = flat.take(powers[k] * h + powers[1:])  # doubled[j - 1, x] = x^k x^j = x^(k+j)
+        met |= (doubled == 0).any(axis=0)
+        powers = np.concatenate((powers, doubled))
+        k *= 2
+    orders = np.argmax(powers[1:] == 0, axis=0).astype(np.int32) + 1
+    return powers[:orders.max() + 1], orders
 
 
 def _check_associativity(table: np.ndarray) -> None:
@@ -210,9 +243,8 @@ def _check_associativity(table: np.ndarray) -> None:
 def group_from_table(table: Sequence[Sequence[int]] | np.ndarray, cap: int | None = None, label: str | None = None) -> FiniteGroup:
     """Validate a multiplication table and wrap it as a FiniteGroup.
 
-    A table above the construction cap is rejected. The FiniteGroup
-    constructor checks the identity and inverse axioms; associativity is
-    then checked exhaustively.
+    A table above the construction cap is rejected. The identity and
+    inverse axioms are checked first, then associativity, exhaustively.
     """
     cap = DEFAULT_CAPS.construction if cap is None else cap
     arr = np.asarray(table, dtype=np.int64)
@@ -223,9 +255,10 @@ def group_from_table(table: Sequence[Sequence[int]] | np.ndarray, cap: int | Non
         raise ClosureExceedsCap(f"table order {h} exceeds construction cap {cap}")
     if arr.min() < 0 or arr.max() >= h:
         raise ValueError("table entries must lie in [0, h)")
-    group = FiniteGroup(arr.astype(np.int32), label=label)
-    _check_associativity(group.table)
-    return group
+    arr = arr.astype(np.int32)
+    _inverse(arr)
+    _check_associativity(arr)  # before the power table, which is built by doubling
+    return FiniteGroup(arr, label=label)
 
 
 def group_from_generators(
@@ -242,42 +275,50 @@ def group_from_generators(
     cap = DEFAULT_CAPS.construction if cap is None else cap
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if not gens:
-        return FiniteGroup(np.zeros((1, 1), dtype=np.int32), label=label,
-                           element_names=["e"], perms=[Permutation.identity(1)])
-    degree = gens[0].degree
+    degree = gens[0].degree if gens else 1
     for g in gens:
         if not isinstance(g, Permutation):
             raise InvalidPermutation(f"generator {g!r} is not a Permutation")
         if g.degree != degree:
             raise InvalidPermutation("generators must share one degree")
+    if not gens or degree == 0:
+        return FiniteGroup(np.zeros((1, 1), dtype=np.int32), label=label,
+                           element_names=["e"], perms=[Permutation.identity(degree)])
 
-    ident = tuple(range(degree))
-    elems: list[tuple[int, ...]] = [ident]
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    gen_images = [g.images for g in gens]
-    right: list[int] = []                  # right[i * len(gens) + k]: element i, then generator k
-    reached: list[tuple[int, int]] = []    # reached[b - 1]: the (i, k) that first gave b
-    for i, cur in enumerate(elems):        # elems grows while it is walked
-        for k, g in enumerate(gen_images):
-            nxt = tuple(g[v] for v in cur)
-            if nxt not in index:
-                if len(elems) >= cap:
-                    raise ClosureExceedsCap(f"closure of generators exceeds cap {cap}")
-                index[nxt] = len(elems)
-                elems.append(nxt)
-                reached.append((i, k))
-            right.append(index[nxt])
+    n = len(gens)
+    images = np.array([g.images for g in gens], dtype=np.min_scalar_type(degree - 1))
+    each = np.arange(n)[:, None]
+    frontier = np.arange(degree, dtype=images.dtype)[None, :]
+    index = {frontier.tobytes(): 0}        # an element's images, as bytes -> its index
+    levels, right, sources = [frontier], [], []
+    while frontier.size:                   # one breadth-first level at a time
+        known = len(index)
+        prods = images[each, frontier[:, None]].reshape(-1, degree)  # element i, then generator k, in (i, k) order
+        keys = prods.view(f"V{prods.itemsize * degree}").ravel().tolist()
+        found = np.array([index.setdefault(key, len(index)) for key in keys])
+        if len(index) > cap:
+            raise ClosureExceedsCap(f"closure of generators exceeds cap {cap}")
+        new = found >= known
+        source = np.empty(len(index) - known, dtype=np.intp)
+        source[found[new] - known] = np.flatnonzero(new)  # source[j]: a product that gave new element known + j
+        right.append(found)
+        sources.append(source)
+        frontier = prods[source]
+        levels.append(frontier)
 
-    h = len(elems)
-    right_arr = np.array(right, dtype=np.int32).reshape(h, len(gens))
+    right_arr = np.concatenate(right).reshape(-1, n)  # right_arr[a, k]: element a, then generator k
+    h = len(index)
     table = np.empty((h, h), dtype=np.int32)
     table[:, 0] = np.arange(h, dtype=np.int32)
-    for b, (a, k) in enumerate(reached, start=1):
-        table[:, b] = right_arr[table[:, a], k]  # x (a g) = (x a) g
-    perms = [Permutation(row) for row in elems]
-    names = [p.cycle_string() for p in perms]
-    return FiniteGroup(table, label=label, element_names=names, perms=perms)
+    lo = 0                                 # the first index of the level that gave the next one
+    for level, source in zip(levels, sources):
+        a, k = np.divmod(source, n)
+        hi = lo + len(level)
+        table[:, hi:hi + source.size] = right_arr[table[:, lo + a], k]  # x (a g) = (x a) g
+        lo = hi
+    elems = np.concatenate(levels)
+    return FiniteGroup(table, label=label, perms=lambda: [Permutation(row) for row in elems.tolist()],
+                       element_names=lambda: [Permutation(row).cycle_string() for row in elems.tolist()])
 
 
 def _check_element(group: FiniteGroup, x: ElementIndex) -> None:

@@ -22,10 +22,16 @@ from .numtheory import prime_power_base
 
 
 def _mask_of(arr: np.ndarray) -> int:
+    """The bitset of an index array, bit i set for each index i: a shift per index, for short arrays."""
     mask = 0
     for i in arr.tolist():
         mask |= 1 << i
     return mask
+
+
+def _packed(vector: np.ndarray) -> int:
+    """The bitset of a membership vector, bit i set where vector[i] is True, packed in one call at any length."""
+    return int.from_bytes(np.packbits(vector, bitorder="little"), "little")
 
 
 def _vector(indices, h: int) -> np.ndarray:
@@ -62,11 +68,15 @@ class ComplexSet:
         if arr.size and (arr.min() < 0 or arr.max() >= parent.order):
             raise ValueError("members out of range for parent group")
         present = _vector(arr, parent.order)
+        self._fill(parent, present)
+        return present
+
+    def _fill(self, parent: FiniteGroup, present: np.ndarray) -> None:
+        """Set the fields from a membership vector."""
         self.parent = parent
         self._arr = np.flatnonzero(present).astype(np.int32)
-        self.mask = _mask_of(self._arr)
+        self.mask = _packed(present)
         self.size = int(self._arr.size)
-        return present
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -103,6 +113,13 @@ class SubgroupSet(ComplexSet):
         obj.size = int(arr.size)
         return obj
 
+    @classmethod
+    def _of_vector(cls, parent: FiniteGroup, present: np.ndarray) -> "SubgroupSet":
+        """The subgroup with the given membership vector, unchecked."""
+        obj = object.__new__(cls)
+        obj._fill(parent, present)
+        return obj
+
     def is_trivial(self) -> bool:
         return self.size == 1
 
@@ -131,7 +148,7 @@ def _require_same_parent(a, b) -> None:
 
 
 def _extend_subgroup(group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarray) -> np.ndarray:
-    """Closure of an already-closed subgroup H plus extra generators.
+    """Membership vector of the closure of an already-closed subgroup H plus extra generators.
 
     Dimino-style growth by one irredundant generator at a time (Butler,
     Fundamental Algorithms for Permutation Groups, 1991; Holt, Eick and
@@ -155,10 +172,10 @@ def _extend_subgroup(group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarra
     present = _vector(sub_arr, h)
     outside = np.flatnonzero(_vector(gen_arr, h) & ~present)
     if outside.size == 0:
-        return sub_arr
+        return present
     count = sub_arr.size
     if 2 * (count + outside.size) > h:
-        return np.arange(h, dtype=np.int32)
+        return np.ones(h, dtype=bool)
     multipliers = sub_arr[sub_arr != 0]
     members = sub_arr
     for g in outside:
@@ -176,16 +193,16 @@ def _extend_subgroup(group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarra
             present[frontier] = True
             count += frontier.size
             if 2 * count > h:
-                return np.arange(h, dtype=np.int32)
+                return np.ones(h, dtype=bool)
             prods = table[np.ix_(frontier, multipliers)].ravel()
             frontier = np.flatnonzero(_vector(prods, h) & ~present)
-        members = np.flatnonzero(present).astype(np.int32)
-    return members
+        members = np.flatnonzero(present)
+    return present
 
 
 def closure_of(s: ComplexSet) -> SubgroupSet:
     """Smallest subgroup containing the given complex (empty gives trivial), memoised per complex."""
-    return s.parent.memo(("closure", s.mask), lambda: SubgroupSet._unchecked(
+    return s.parent.memo(("closure", s.mask), lambda: SubgroupSet._of_vector(
         s.parent, _extend_subgroup(s.parent, np.zeros(1, dtype=np.int32), s._arr)))
 
 
@@ -327,10 +344,11 @@ def _lattice(group: FiniteGroup) -> Lattice:
                 if normal:
                     karr = np.sort(table[harr[:, None], powers[:p, g]], axis=None)
                     inside[karr] = True
+                    k = SubgroupSet._unchecked(group, karr)
                 else:
-                    karr = _extend_subgroup(group, harr, np.array([g]))
+                    k = SubgroupSet._of_vector(group, _extend_subgroup(group, harr, np.array([g])))
+                    karr = k._arr
                     inside[powers[:, g]] = True
-                k = SubgroupSet._unchecked(group, karr)
                 if k.mask in found:
                     continue
                 if abelian:  # every element fixes K
@@ -399,19 +417,18 @@ def normalizer(a: SubgroupSet) -> SubgroupSet:
     """All t with t^-1 A t = A; a subgroup containing A, one scan of A's conjugates."""
     h = a.parent.order
     rows = _vector(a._arr, h)[conjugates(a.parent, np.arange(h), a._arr)].all(axis=1)
-    return SubgroupSet._unchecked(a.parent, np.flatnonzero(rows).astype(np.int32))
+    return SubgroupSet._of_vector(a.parent, rows)
 
 
 def centralizer(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:
     """All t with t x = x t; ValueError on an index out of range."""
     _check_element(group, x)
-    rows = group.table[:, x] == group.table[x, :]
-    return SubgroupSet._unchecked(group, np.flatnonzero(rows).astype(np.int32))
+    return SubgroupSet._of_vector(group, group.table[:, x] == group.table[x, :])
 
 
 def center(group: FiniteGroup) -> SubgroupSet:
     """Elements commuting with the whole group."""
-    return SubgroupSet._unchecked(group, np.flatnonzero(group.central_mask()).astype(np.int32))
+    return SubgroupSet._of_vector(group, group.central_mask())
 
 
 @dataclass(frozen=True)
@@ -450,13 +467,13 @@ def intersect(a: SubgroupSet, b: SubgroupSet) -> SubgroupSet:
     """Set intersection, automatically a subgroup."""
     _require_same_parent(a, b)
     h = a.parent.order
-    return SubgroupSet._unchecked(a.parent, np.flatnonzero(_vector(a._arr, h) & _vector(b._arr, h)).astype(np.int32))
+    return SubgroupSet._of_vector(a.parent, _vector(a._arr, h) & _vector(b._arr, h))
 
 
 def join(a: SubgroupSet, b: SubgroupSet) -> SubgroupSet:
     """Subgroup generated by the union."""
     _require_same_parent(a, b)
-    return SubgroupSet._unchecked(a.parent, _extend_subgroup(a.parent, a._arr, b._arr))
+    return SubgroupSet._of_vector(a.parent, _extend_subgroup(a.parent, a._arr, b._arr))
 
 
 def conjugate_subgroup(a: SubgroupSet, t: ElementIndex) -> SubgroupSet:
@@ -576,7 +593,11 @@ def automorphisms(group: FiniteGroup, cap: int | None = None) -> np.ndarray:
     along <H, g> by products of two mapped elements (log-many levels on a
     cyclic piece). A row survives if it respects every generator edge and
     has trivial kernel. The result is a cached, read-only (n_aut, order)
-    int32 array in ascending lexicographic order.
+    int32 array in ascending lexicographic order, with no sort: each new
+    generator is the least index outside the mapped subgroup, so rows
+    agree on every earlier column; the expansion keeps the parent rows'
+    order and takes each row's candidate images in ascending order, and
+    the filters keep order.
 
     Raises EnumerationCapExceeded above the automorphism cap, and during
     the search once a level would hold more than MAX_AUTOMORPHISM_MAPS
@@ -635,7 +656,7 @@ def _automorphism_search(group: FiniteGroup) -> np.ndarray:
         for x in gens:
             maps = maps[(maps[:, table[sub, x]] == table[maps[:, sub], maps[:, [x]]]).all(axis=1)]
         maps = maps[(maps[:, sub[1:]] != 0).all(axis=1)]
-    return maps[np.lexsort(maps.T[::-1])].astype(np.int32)
+    return maps.astype(np.int32)
 
 
 def is_characteristic(a: SubgroupSet, cap: int | None = None) -> bool:

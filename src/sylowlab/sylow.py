@@ -63,7 +63,7 @@ class CoprimeDecomposition:
 
 
 def _chain_members(group: FiniteGroup, p: int, lam: int) -> list[np.ndarray]:
-    """Member arrays of a Sylow tower of group, orders p^1..p^lam."""
+    """Membership vectors of a Sylow tower of group, orders p^1..p^lam."""
     table, inverse, powers = group.table, group.inverse, group.powers
     ambient = np.arange(group.order, dtype=np.int32)  # A, ascending
     inside = ambient == 0                              # N, as a membership vector
@@ -77,7 +77,7 @@ def _chain_members(group: FiniteGroup, p: int, lam: int) -> list[np.ndarray]:
         else:  # impossible by the class-equation count of order-p cosets
             raise RuntimeError(f"no order-{p} element with full-valuation centralizer found")
         inside[table[np.flatnonzero(inside)[:, None], powers[1:p, a]]] = True  # Na, ..., Na^(p-1)
-        members.append(np.flatnonzero(inside).astype(np.int32))
+        members.append(inside.copy())
         ambient = cent
     return members
 
@@ -100,7 +100,7 @@ def sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
     return group.memo(("sylow_chain", p), lambda: SylowChain(
         prime=p,
         exponent=lam,
-        chain=tuple(SubgroupSet._unchecked(group, arr) for arr in _chain_members(group, p, lam)),
+        chain=tuple(SubgroupSet._of_vector(group, present) for present in _chain_members(group, p, lam)),
     ))
 
 

@@ -4,17 +4,20 @@ Everything here is deliberately naive: plain Python loops over the raw
 multiplication table, no reuse of the engine's closure or lattice code.
 The exceptions are closure_by_products, subgroups_by_layered_extension,
 lattice_by_cyclic_extension, automorphisms_by_backtracking,
-elab_by_digit_array, tower_by_quotients, table_by_row_index,
+elab_by_digit_array, elab_by_digit_formula, tower_by_quotients,
+table_by_row_index, closure_by_tuples, power_table_by_rows,
 is_normal_by_scan, is_normal_within_by_scan, contains_by_member_product,
 power_by_squaring, sylow_normals_by_normalizers,
 conj_table_by_inverse_rows and class_ids_by_least_action, the engine's
 former closure, two former lattice enumerators, automorphism search,
-elab builder, Sylow tower, generator-table builder, normality scans,
-containment matrix, element power, Section 5 normalizer computation,
-conjugation table and lattice class numbering, kept as references for
-the code that replaced them. lattice_by_cyclic_extension,
-the former general lattice pass, builds its record with the engine's
-_lattice_record, so a comparison of records checks the enumeration.
+two elab builders, Sylow tower, two generator-table builders, power
+table, normality scans, containment matrix, element power, Section 5
+normalizer computation, conjugation table and lattice class numbering,
+kept as references for the code that replaced them.
+lattice_by_cyclic_extension, the former general lattice pass, builds its
+record with the engine's _lattice_record, so a comparison of records
+checks the enumeration. build_by_oracles builds a parsed spec from the
+former builders.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
+from sylowlab.catalog import _cycles_to_permutation, build
 from sylowlab.groups import Permutation
 from sylowlab.numtheory import prime_power_base, valuation
 from sylowlab.subgroups import (
@@ -376,6 +380,102 @@ def elab_by_digit_array(p: int, k: int) -> tuple[np.ndarray, list[str]]:
     table = (sums * weights).sum(axis=2).astype(np.int32)
     names = ["(" + ",".join(str(v) for v in row) + ")" for row in digits]
     return table, names
+
+
+def elab_by_digit_formula(p: int, k: int) -> tuple[np.ndarray, list[str]]:
+    """Table and names of (Z/p)^k, one base-p digit at a time: the engine's former elab builder.
+
+    Each pass adds one digit of both factors mod p and weights the sum
+    into the table.
+    """
+    h = p**k
+    codes = np.arange(h, dtype=np.int32)
+    weights = [p**d for d in range(k - 1, -1, -1)]
+    table = np.zeros((h, h), dtype=np.int32)
+    for w in weights:
+        digit = codes // w % p
+        table += (digit[:, None] + digit) % p * w
+    names = ["(" + ",".join(str(i // w % p) for w in weights) + ")" for i in range(h)]
+    return table, names
+
+
+def power_table_by_rows(table: np.ndarray) -> np.ndarray:
+    """powers[k, x] = x^k for k up to the largest element order: the engine's former power table.
+
+    One row at a time, each the last right-multiplied by x, until every x
+    has met the identity.
+    """
+    h = table.shape[0]
+    idx = np.arange(h, dtype=np.int32)
+    rows = [np.zeros(h, dtype=np.int32), idx]
+    met = idx == 0
+    while not met.all():
+        rows.append(table[rows[-1], idx])
+        met |= rows[-1] == 0
+    return np.array(rows)
+
+
+def closure_by_tuples(gens) -> tuple[np.ndarray, list[Permutation]]:
+    """Table and elements of the group generated by permutations: the engine's former generator builder.
+
+    A breadth-first closure over image tuples, one element and one
+    generator at a time, then one table column per element, read from
+    the closure's own right-multiplication index: x (a g) = (x a) g.
+    """
+    ident = tuple(range(gens[0].degree))
+    elems, index = [ident], {ident: 0}
+    right, reached = [], []
+    for i, cur in enumerate(elems):
+        for k, g in enumerate(gens):
+            nxt = tuple(g.images[v] for v in cur)
+            if nxt not in index:
+                index[nxt] = len(elems)
+                elems.append(nxt)
+                reached.append((i, k))
+            right.append(index[nxt])
+    h = len(elems)
+    right_arr = np.array(right, dtype=np.int32).reshape(h, len(gens))
+    table = np.empty((h, h), dtype=np.int32)
+    table[:, 0] = np.arange(h, dtype=np.int32)
+    for b, (a, k) in enumerate(reached, start=1):
+        table[:, b] = right_arr[table[:, a], k]
+    return table, [Permutation(row) for row in elems]
+
+
+def build_by_oracles(spec) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """Table and element names of a parsed spec, from the former builders.
+
+    sym, alt and perm close the engine's generators with
+    closure_by_tuples, elab takes elab_by_digit_formula, and prod combines
+    its factors' oracle tables and names. cyclic, dihedral and q8 keep
+    the engine's table formulas, which no change has replaced.
+    """
+    kind, args = spec.kind, spec.args
+    if kind == "prod":
+        (ta, na), (tb, nb) = build_by_oracles(args[0]), build_by_oracles(args[1])
+        order = len(ta) * len(tb)
+        table = (ta[:, None, :, None].astype(np.int64) * len(tb) + tb[None, :, None, :]).reshape(order, order)
+        names = None if na is None or nb is None else tuple(f"({x},{y})" for x in na for y in nb)
+        return table.astype(np.int32), names
+    if kind == "elab":
+        table, names = elab_by_digit_formula(*args)
+        return table, tuple(names)
+    if kind in ("sym", "alt", "perm"):
+        if kind == "perm":
+            degree = max((pt for gen in args for cyc in gen for pt in cyc), default=1)
+            gens = [_cycles_to_permutation(gen, degree) for gen in args]
+        elif kind == "sym":
+            n = args[0]
+            gens = [Permutation([(i + 1) % n for i in range(n)]), Permutation([1, 0] + list(range(2, n)))] if n >= 2 else []
+        else:
+            n = args[0]
+            gens = [Permutation([1, k, *range(2, k), 0, *range(k + 1, n)]) for k in range(2, n)]  # (1 2 k+1)
+        if not gens:
+            return np.zeros((1, 1), dtype=np.int32), ("e",)
+        table, perms = closure_by_tuples(gens)
+        return table, tuple(p.cycle_string() for p in perms)
+    group = build(spec)
+    return group.table, group.element_names
 
 
 def tower_by_quotients(group, p: int, lam: int) -> list[np.ndarray]:

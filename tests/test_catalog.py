@@ -1,9 +1,13 @@
 """Group-spec grammar, builders and the standard catalog."""
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sylowlab import catalog, cli
 from sylowlab.catalog import (
@@ -21,7 +25,7 @@ from sylowlab.errors import ClosureExceedsCap, NotAGroup, ParseError, Validation
 from sylowlab.groups import group_from_table
 from sylowlab.subgroups import center, is_cyclic
 
-from oracles import elab_by_digit_array
+from oracles import build_by_oracles, elab_by_digit_array, power_table_by_rows
 
 
 @pytest.mark.parametrize(
@@ -291,3 +295,41 @@ def test_standard_catalog_60_names_and_tables_are_pinned():
         digest.update(name.encode() + b"\n" + group.table.astype("<i4").tobytes())
     assert len(catalog60) == 106
     assert digest.hexdigest() == "24c4855ecca5bf7ebfbc4e9e1b3647ecc29076207e397d2ac494d9d625ce752c"
+
+
+# Numerals up to 600, most of them small enough to build.
+numerals = st.one_of(st.integers(0, 12), st.integers(0, 600))
+points = st.one_of(st.integers(1, 9), st.integers(1, 600))
+cycles = st.lists(points, min_size=2, max_size=5, unique=True).map(lambda pts: "(" + " ".join(map(str, pts)) + ")")
+generators = st.one_of(st.just("e"), st.lists(cycles, min_size=1, max_size=3).map("".join))
+leaf_specs = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["cyclic", "dihedral", "sym", "alt"]), numerals),
+    st.just("q8"),
+    st.builds("elab:{}^{}".format, numerals, numerals),
+    st.lists(generators, min_size=1, max_size=3).map(lambda gens: "perm:" + ";".join(gens)),
+)
+
+
+def nested_specs(depth: int):
+    """Spec texts with prod( nested at most depth deep."""
+    if depth == 0:
+        return leaf_specs
+    inner = nested_specs(depth - 1)
+    return st.one_of(leaf_specs, st.builds("prod({},{})".format, inner, inner))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(nested_specs(3))
+def test_info_on_any_spec_exits_0_or_2_and_builds_as_the_oracles(text):
+    """Over the spec grammar: one error line or a group equal to the former builders' table, powers and names."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["info", text])
+    err = err.getvalue()
+    assert code in (0, 2), (text, code, err)
+    assert "Traceback" not in err and err.count("error:") <= 1, (text, err)
+    if code == 0:
+        group = build(text)
+        table, names = build_by_oracles(parse_spec(text))
+        assert np.array_equal(group.table, table) and group.element_names == names, text
+        assert np.array_equal(group.powers, power_table_by_rows(table)), text

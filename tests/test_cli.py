@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from sylowlab import cli
+from sylowlab import catalog, cli
 from sylowlab.catalog import MAX_PROD_DEPTH, build
 from sylowlab.config import ENV_CAPS
 from sylowlab.counting import VerificationReport, theorem_suite
+from sylowlab.groups import Permutation
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -176,6 +177,16 @@ def test_commands_never_import_numpy_ma():
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
+# The stdout of the demos whose output holds no timing.
+DEMO_DIGESTS = {
+    "01_building_groups.py": "c825fac8494e67ddeb87179fb3131cb25381584fa07d4e8eddac0e3c07335257",
+    "02_subgroup_lattice.py": "8b7a91010bfc8950132faf9ef95421769dc4f7fb36966fe97795b94aaa74971e",
+    "03_sylow_towers.py": "7aeb4f85bb904b349e381b1786466f2fa22a03ff4bc53a8f0078ffb8dce6f976",
+    "04_counting_theorems.py": "8339eaad4ddf04ed02a0ffaf558a87bde568bc7436f6799e65cb2793c27e4d3e",
+    "05_kinds_and_fusion.py": "6836e9ab0f5c42efd5c14bbc7e812bf003c3b1f3cced00df7a59770d08975882",
+}
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs_standalone(demo):
     proc = subprocess.run(
@@ -183,6 +194,8 @@ def test_demo_runs_standalone(demo):
         capture_output=True, text=True, env=env_with_src(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    if demo in DEMO_DIGESTS:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_DIGESTS[demo]
 
 
 def test_closed_stdout_exits_141_quietly():
@@ -498,6 +511,40 @@ def test_verify_catalog_holds_one_group_at_a_time():
     assert out.count(b"\n") == 20141
     assert hashlib.sha256(out).hexdigest() == "33c61dcbe3b982be995d60f7518d52b10d42060d9bf65c22f2c170a916d5263a"
     assert peak - baseline < 45, f"peak {peak:.0f} MB against {baseline:.0f} MB for one group"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("info", "sym:4", "--elements"), "a35a077268fc8020f62b09b7ccacabc7983c45f974c971847fa241f59574dc9c"),
+    (("classes", "sym:4"), "ca6e07f92d5bcf0683d30103dd5c2d5d8718c21b3ffe5f8007536ac45765cf53"),
+    (("info", "alt:5", "--elements"), "ceeffad23d01ee176db637cb18eb07f6281a998518e55a1daac6b290db4b0804"),
+    (("classes", "alt:5"), "3b89371aba8b5f189d935a631dcc99209547f3a13fcc07cbe5fe437522e32cab"),
+    (("info", "q8", "--elements"), "48c21bffcbe679b7cace779a0e5855dcd75e92b5fcc0507d872676d84624161e"),
+    (("classes", "q8"), "3ad784a7440414517dedf78ac8766ca2472c9fbb2aedcbbc654f21856145f57f"),
+])
+def test_element_names_print_as_pinned(capsys, argv, digest):
+    """Names made on first read print the same as names made with the group."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_makes_no_element_names(monkeypatch, capsys):
+    """No verify check reads a name: with every name maker refusing, the outputs stay the same."""
+    def refuse(*args):
+        raise AssertionError("an element name was made")
+
+    for maker in ("_cyclic_names", "_dihedral_names", "_elab_names", "_prod_names"):
+        monkeypatch.setattr(catalog, maker, refuse)
+    monkeypatch.setattr(Permutation, "cycle_string", refuse)
+    monkeypatch.delenv(ENV_CAPS, raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--catalog", "60", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "2b0e7b3863c8c3465cf36238c3ff0955b8dcb493d6e374b517bcb81c7505d848"
+    calls = json.loads((ROOT / "perfbench" / "golden.json").read_text())["calls"]["large"]
+    for call in calls:
+        code, out, _ = run_cli(capsys, *call["argv"])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == call["sha256"], call["argv"]
+    with pytest.raises(AssertionError, match="an element name was made"):
+        build("prod(cyclic:2,q8)").element_names
 
 
 @pytest.mark.parametrize("workload", ["pgroups", "large"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sylowlab
-from sylowlab.catalog import build, catalog_specs, standard_catalog
+from sylowlab.catalog import build, catalog_specs, parse_spec, standard_catalog
 from sylowlab.errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
 from sylowlab.groups import (
     Permutation,
@@ -21,7 +21,16 @@ from sylowlab.groups import (
 
 from sylowlab.subgroups import cyclic_subgroup
 
-from oracles import brute_closure, conj_table_by_inverse_rows, element_order_oracle, power_by_squaring
+from oracles import (
+    brute_closure,
+    build_by_oracles,
+    closure_by_tuples,
+    conj_table_by_inverse_rows,
+    element_order_oracle,
+    power_by_squaring,
+    power_table_by_rows,
+)
+from test_sylow import LARGE_SPECS
 
 THREE_CYCLE = Permutation([1, 2, 0])      # (1 2 3)
 SWAP = Permutation([1, 0, 2])             # (1 2)
@@ -216,6 +225,24 @@ def test_orders_exponent_and_cyclic_subgroups_read_the_power_table(power_table_g
         assert group.exponent() == math.lcm(*orders), group.label
         for x in np.unique(group.elem_order, return_index=True)[1].tolist():
             assert frozenset(cyclic_subgroup(group, x).members) == brute_closure(group, [x]), (group.label, x)
+
+
+@pytest.mark.parametrize("spec", list(dict.fromkeys(
+    catalog_specs(60) + POWER_TABLE_SPECS + LARGE_SPECS + ["elab:3^5", "elab:5^3", "elab:2^8"])))
+def test_builders_match_the_former_builders(spec):
+    """Table, names and power table equal those of the tuple closure, the digit-formula elab table and the row-by-row power walk."""
+    group = build(spec)
+    table, names = build_by_oracles(parse_spec(spec))
+    assert np.array_equal(group.table, table) and group.element_names == names
+    powers = power_table_by_rows(table)
+    assert np.array_equal(group.powers, powers)
+    assert np.array_equal(group.elem_order, np.argmax(powers[1:] == 0, axis=0) + 1)
+
+
+def test_generator_builder_keeps_the_former_elements():
+    """The elements, as Permutations, come in the order of the one-element-at-a-time closure."""
+    for gens in ([THREE_CYCLE, SWAP], [SWAP, THREE_CYCLE], [Permutation([1, 2, 3, 4, 5, 0]), Permutation([1, 0, 3, 2, 5, 4])]):
+        assert group_from_generators(gens).perms == tuple(closure_by_tuples(gens)[1])
 
 
 @pytest.mark.parametrize("x", [-1, 6])

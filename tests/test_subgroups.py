@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sylowlab.catalog import build, standard_catalog
+from sylowlab.catalog import build, catalog_specs, standard_catalog
 from sylowlab.counting import _solutions, complex_power_stabilization
 from sylowlab.errors import ClosureExceedsCap, EnumerationCapExceeded, NotNormal, ParentMismatch
 from sylowlab.groups import Permutation, element_order, group_from_generators
@@ -15,6 +15,8 @@ from sylowlab.subgroups import (
     ComplexSet,
     SubgroupSet,
     _mask_of,
+    _packed,
+    _vector,
     all_subgroups,
     automorphisms,
     center,
@@ -77,6 +79,20 @@ def test_mask_of_matches_the_set_of_members(dtype):
     for size in range(40):
         arr = rng.integers(0, 512, size=size).astype(dtype)
         assert _mask_of(arr) == sum(1 << int(i) for i in set(arr))
+
+
+def test_packed_mask_matches_the_shift_loop():
+    """A membership vector packs to the bitset the shift loop gives its index array, at any size up to 512."""
+    rng = np.random.default_rng(23)
+    for h in (1, 7, 8, 63, 64, 65, 120, 360, 512):
+        for size in sorted({0, 1, h // 2, h - 1, h, *rng.integers(0, h + 1, size=8).tolist()}):
+            arr = np.sort(rng.choice(h, size=size, replace=False)).astype(np.int32)
+            expected = _mask_of(arr)
+            assert _packed(_vector(arr, h)) == expected == sum(1 << int(i) for i in arr), (h, size)
+            group = build(f"cyclic:{h}")
+            assert ComplexSet(group, arr).mask == expected
+            if size:
+                assert SubgroupSet._of_vector(group, _vector(arr, h)).mask == expected
 
 
 def test_complex_set_takes_any_iterable_of_indices():
@@ -644,6 +660,13 @@ def test_automorphisms_match_backtracking_oracle(group):
         autos[0, 0] = 1
 
 
+@pytest.mark.parametrize("spec", catalog_specs(24) + ["elab:2^4"])
+def test_automorphisms_come_out_sorted_without_a_sort(spec):
+    """The search yields its rows in ascending lexicographic order, as a lexsort of them would."""
+    autos = automorphisms(build(spec))
+    assert np.array_equal(autos, autos[np.lexsort(autos.T[::-1])])
+
+
 permutations_up_to_6 = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=2)
 )
@@ -719,14 +742,13 @@ def test_index_two_subgroups_sit_on_the_half_order_boundary(spec):
     for a in halves:
         assert complex_power_stabilization(ComplexSet(group, a._arr)) == (1, 1, a)
         assert closure_of(ComplexSet(group, a.members)) == a and join(a, a) == a
-        assert np.array_equal(subgroups_module._extend_subgroup(group, a._arr, a._arr[1:]), a._arr)
+        assert np.array_equal(np.flatnonzero(subgroups_module._extend_subgroup(group, a._arr, a._arr[1:])), a._arr)
         coset = np.setdiff1d(np.arange(group.order), a._arr)
         r, s, stab = complex_power_stabilization(ComplexSet(group, coset))
         assert (r, s, stab) == (1, 2, a)
         assert (r, s, frozenset(stab.members)) == power_sequence_by_sets(group, coset)
         outside = int(coset[0])
-        assert np.array_equal(subgroups_module._extend_subgroup(group, a._arr, np.array([outside])),
-                              np.arange(group.order))
+        assert subgroups_module._extend_subgroup(group, a._arr, np.array([outside])).all()
 
 
 @pytest.mark.parametrize("spec", ["sym:4", "alt:4", "dihedral:12", "q8", "cyclic:10", "prod(sym:3,cyclic:2)"])

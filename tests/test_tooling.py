@@ -55,3 +55,22 @@ def test_every_memo_key_kind_is_read_again_on_the_catalog(monkeypatch):
     audit = {kind: (misses[kind], hits[kind]) for kind in misses}
     assert all(hit > 0 for _, hit in audit.values()), audit
     assert set(audit) == {"subgroups", "closure", "automorphisms", "sylow_chain"}, audit
+
+
+def test_traced_construction_layers_are_reached():
+    """verify reaches catalog.build and groups.group_from_generators by the names the tracer wraps.
+
+    A builder restructured around them would leave catalog.build_s or
+    groups.group_from_generators_s at 0 without failing anything else.
+    """
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for spec in ("alt:6", "elab:2^9"):
+                assert cli.main(["verify", spec, "--json"]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["catalog.build_calls"] == 2 and metrics["catalog.build_s"] > 0
+    assert metrics["groups.group_from_generators_calls"] == 1 and metrics["groups.group_from_generators_s"] > 0
