@@ -270,7 +270,12 @@ def group_from_generators(
 
     Element 0 is the identity; the rest are indexed in breadth-first
     discovery order, right-multiplying by the generators in the given
-    order, which makes the numbering reproducible.
+    order, which makes the numbering reproducible. The closure is the
+    orbit algorithm (Butler, Fundamental Algorithms for Permutation
+    Groups, 1991; Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005, 4.1) run one level at a time: a level's products in
+    (element, generator) order are new elements in the order they are
+    first met, exactly as one product at a time would meet them.
     """
     cap = DEFAULT_CAPS.construction if cap is None else cap
     if cap < 1:

@@ -85,11 +85,11 @@ def test_packed_mask_matches_the_shift_loop():
     """A membership vector packs to the bitset the shift loop gives its index array, at any size up to 512."""
     rng = np.random.default_rng(23)
     for h in (1, 7, 8, 63, 64, 65, 120, 360, 512):
+        group = build(f"cyclic:{h}")
         for size in sorted({0, 1, h // 2, h - 1, h, *rng.integers(0, h + 1, size=8).tolist()}):
             arr = np.sort(rng.choice(h, size=size, replace=False)).astype(np.int32)
             expected = _mask_of(arr)
             assert _packed(_vector(arr, h)) == expected == sum(1 << int(i) for i in arr), (h, size)
-            group = build(f"cyclic:{h}")
             assert ComplexSet(group, arr).mask == expected
             if size:
                 assert SubgroupSet._of_vector(group, _vector(arr, h)).mask == expected
