@@ -91,9 +91,9 @@ def _members_str(indices) -> str:
     return "{" + ",".join(map(str, np.asarray(indices).tolist())) + "}"
 
 
-def _solutions(group: FiniteGroup, n: int) -> np.ndarray:
-    """Indices of every x with x^n = identity (order of x divides n)."""
-    return np.flatnonzero(n % group.elem_order == 0).astype(np.int32)
+def _solutions(group: FiniteGroup, n: int) -> ComplexSet:
+    """The complex of every x with x^n = identity (order of x divides n)."""
+    return ComplexSet._of_vector(group, n % group.elem_order == 0)
 
 
 def _require_positive(**params: int) -> None:
@@ -138,7 +138,7 @@ def verify_order_p_form(group: FiniteGroup, p: int) -> VerificationReport:
     """The count of order-p elements has the shape (p-1)(np+1)."""
     _require_prime_divides(group, p)
     count = count_elements_of_order(group, p)
-    q, rem = divmod(count, p - 1) if p > 1 else (0, 1)
+    q, rem = divmod(count, p - 1)
     params: dict[str, int] = {"p": p}
     passed = rem == 0 and q >= 1 and (q - 1) % p == 0
     if passed:
@@ -163,7 +163,7 @@ def solution_subgroup(group: FiniteGroup, n: int, caps: Caps = DEFAULT_CAPS) -> 
     _require_positive(n=n)
     if group.order % n != 0:
         raise ValueError(f"n={n} must divide the group order {group.order}")
-    generated = closure_of(ComplexSet(group, _solutions(group, n)))
+    generated = closure_of(_solutions(group, n))
     size_ok = generated.size % n == 0
     if group.order <= caps.automorphisms:
         char_ok = is_characteristic(generated, caps.automorphisms)
@@ -228,7 +228,7 @@ def power_stabilization_check(group: FiniteGroup, n: int) -> VerificationReport:
     _require_positive(n=n)
     if group.order % n != 0:
         raise ValueError(f"n={n} must divide the group order {group.order}")
-    sols = ComplexSet(group, _solutions(group, n))
+    sols = _solutions(group, n)
     rr, ss, stabilized = complex_power_stabilization(sols)
     expected = closure_of(sols)
     passed = ss == 1 and stabilized == expected and stabilized.size % n == 0
@@ -263,8 +263,8 @@ def verify_coprime_product(group: FiniteGroup, r: int, s: int) -> VerificationRe
             passed=True,
             applicable=False,
         )
-    a_arr = _solutions(group, r)
-    b_arr = _solutions(group, s)
+    a_arr = _solutions(group, r)._arr
+    b_arr = _solutions(group, s)._arr
     prods = group.table[np.ix_(a_arr, b_arr)]
     commuting = bool((prods == group.table[np.ix_(b_arr, a_arr)].T).all())
     distinct = np.count_nonzero(_vector(prods, group.order)) == r * s

@@ -21,14 +21,6 @@ from .groups import ElementIndex, FiniteGroup, _check_element, conjugates
 from .numtheory import prime_power_base
 
 
-def _mask_of(arr: np.ndarray) -> int:
-    """The bitset of an index array, bit i set for each index i: a shift per index, for short arrays."""
-    mask = 0
-    for i in arr.tolist():
-        mask |= 1 << i
-    return mask
-
-
 def _packed(vector: np.ndarray) -> int:
     """The bitset of a membership vector, bit i set where vector[i] is True, packed in one call at any length."""
     return int.from_bytes(np.packbits(vector, bitorder="little"), "little")
@@ -37,19 +29,24 @@ def _packed(vector: np.ndarray) -> int:
 def _vector(indices, h: int) -> np.ndarray:
     """Boolean membership vector over h elements, True at each index given (repeats allowed)."""
     vector = np.zeros(h, dtype=bool)
-    vector[indices] = True
+    vector.put(indices, True)  # unlike vector[indices] = True, no slow path for int32 indices
     return vector
 
 
-def subgroup_orbit(group: FiniteGroup, actors: np.ndarray, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct conjugates of the subgroup with members arr under actors, as (rows, first, which).
+def subgroup_orbit(group: FiniteGroup, actors: np.ndarray, arr: np.ndarray) -> tuple[list[SubgroupSet], np.ndarray, np.ndarray]:
+    """The distinct conjugates of the subgroup with members arr under actors, as (subs, first, which).
 
-    rows are the conjugates' sorted member arrays, in no particular order;
-    actors[first[i]] gives rows[i], and actors[j] gives rows[which[j]].
+    Each conjugate is one row of an (actors x h) membership matrix, keyed
+    by its packed bitset, the key of every subgroup. subs are in no
+    particular order; actors[first[i]] gives subs[i], and actors[j] gives
+    subs[which[j]].
     """
-    rows = np.sort(conjugates(group, actors, arr), axis=1)
-    _, first, which = np.unique(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel(), return_index=True, return_inverse=True)
-    return rows[first], first, which
+    conj = conjugates(group, actors, arr)
+    present = np.zeros((len(conj), group.order), dtype=bool)
+    present[np.arange(len(conj))[:, None], conj] = True
+    keys = np.packbits(present, axis=1, bitorder="little")
+    _, first, which = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True)
+    return [SubgroupSet._of_vector(group, row) for row in present[first]], first, which
 
 
 class ComplexSet:
@@ -71,10 +68,17 @@ class ComplexSet:
         self._fill(parent, present)
         return present
 
+    @classmethod
+    def _of_vector(cls, parent: FiniteGroup, present: np.ndarray) -> "ComplexSet":
+        """The set of this class with the given membership vector, unchecked."""
+        obj = object.__new__(cls)
+        obj._fill(parent, present)
+        return obj
+
     def _fill(self, parent: FiniteGroup, present: np.ndarray) -> None:
         """Set the fields from a membership vector."""
         self.parent = parent
-        self._arr = np.flatnonzero(present).astype(np.int32)
+        self._arr = present.nonzero()[0].astype(np.int32)
         self.mask = _packed(present)
         self.size = int(self._arr.size)
 
@@ -82,7 +86,10 @@ class ComplexSet:
     def members(self) -> tuple[int, ...]:
         return tuple(int(i) for i in self._arr)
 
-    def __contains__(self, x: int) -> bool:
+    def __contains__(self, x) -> bool:
+        """True only for an integer index in [0, h) whose bit is set."""
+        if not isinstance(x, (int, np.integer)) or x < 0:
+            return False
         return bool((self.mask >> int(x)) & 1)
 
     def __len__(self) -> int:
@@ -103,22 +110,6 @@ class SubgroupSet(ComplexSet):
             raise ValueError("a subgroup must contain the identity (index 0)")
         if not present[parent.table[np.ix_(self._arr, self._arr)]].all():
             raise ValueError("member set is not closed under the group product")
-
-    @classmethod
-    def _unchecked(cls, parent: FiniteGroup, arr: np.ndarray) -> "SubgroupSet":
-        obj = object.__new__(cls)
-        obj.parent = parent
-        obj._arr = arr
-        obj.mask = _mask_of(arr)
-        obj.size = int(arr.size)
-        return obj
-
-    @classmethod
-    def _of_vector(cls, parent: FiniteGroup, present: np.ndarray) -> "SubgroupSet":
-        """The subgroup with the given membership vector, unchecked."""
-        obj = object.__new__(cls)
-        obj._fill(parent, present)
-        return obj
 
     def is_trivial(self) -> bool:
         return self.size == 1
@@ -207,11 +198,11 @@ def closure_of(s: ComplexSet) -> SubgroupSet:
 
 
 def trivial_subgroup(group: FiniteGroup) -> SubgroupSet:
-    return SubgroupSet._unchecked(group, np.zeros(1, dtype=np.int32))
+    return SubgroupSet._of_vector(group, _vector(0, group.order))
 
 
 def whole_group(group: FiniteGroup) -> SubgroupSet:
-    return SubgroupSet._unchecked(group, np.arange(group.order, dtype=np.int32))
+    return SubgroupSet._of_vector(group, np.ones(group.order, dtype=bool))
 
 
 def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> SubgroupSet:
@@ -222,7 +213,7 @@ def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> SubgroupSet:
 def cyclic_subgroup(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:
     """The powers of one element; ValueError on an index out of range."""
     _check_element(group, x)
-    return SubgroupSet._unchecked(group, np.sort(group.powers[:group.elem_order[x], x]))
+    return SubgroupSet._of_vector(group, _vector(group.powers[:group.elem_order[x], x], group.order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,20 +333,19 @@ def _lattice(group: FiniteGroup) -> Lattice:
                 if inside[g]:
                     continue
                 if normal:
-                    karr = np.sort(table[harr[:, None], powers[:p, g]], axis=None)
-                    inside[karr] = True
-                    k = SubgroupSet._unchecked(group, karr)
+                    present = _vector(table[harr[:, None], powers[:p, g]], h)
+                    inside |= present
                 else:
-                    k = SubgroupSet._of_vector(group, _extend_subgroup(group, harr, np.array([g])))
-                    karr = k._arr
+                    present = _extend_subgroup(group, harr, np.array([g]))
                     inside[powers[:, g]] = True
+                k = SubgroupSet._of_vector(group, present)
                 if k.mask in found:
                     continue
                 if abelian:  # every element fixes K
                     subs, moves = [k], np.full((1, h), len(found))
                 else:
-                    rows, first, which = subgroup_orbit(group, everything, karr)
-                    subs, moves = [SubgroupSet._unchecked(group, row) for row in rows], len(found) + which[table[first]]  # (K^s)^t = K^(st)
+                    subs, first, which = subgroup_orbit(group, everything, k._arr)
+                    moves = len(found) + which[table[first]]  # (K^s)^t = K^(st)
                 masks = [s.mask for s in subs]
                 found.update(zip(masks, subs))
                 classes.append((masks, moves))
@@ -363,7 +353,7 @@ def _lattice(group: FiniteGroup) -> Lattice:
                     raise EnumerationCapExceeded(
                         f"{group.label} has more than {MAX_LATTICE_SIZE} subgroups, the lattice size bound"
                     )
-                if karr.size < h:
+                if k.size < h:
                     work.append(k.mask)
     return _lattice_record(group, found, classes)
 
@@ -479,7 +469,7 @@ def join(a: SubgroupSet, b: SubgroupSet) -> SubgroupSet:
 def conjugate_subgroup(a: SubgroupSet, t: ElementIndex) -> SubgroupSet:
     """t^-1 A t; ValueError on an index out of range."""
     _check_element(a.parent, t)
-    return SubgroupSet._unchecked(a.parent, np.sort(conjugates(a.parent, [t], a._arr)[0]))
+    return SubgroupSet._of_vector(a.parent, _vector(conjugates(a.parent, [t], a._arr)[0], a.parent.order))
 
 
 @dataclass(frozen=True)
@@ -549,10 +539,7 @@ def subgroups_within(a: SubgroupSet, cap: int | None = None) -> list[SubgroupSet
     lattice filtered by containment, because the embedding is ascending.
     """
     grp, emb = as_group(a)
-    return [
-        SubgroupSet._unchecked(a.parent, np.sort(emb[s._arr]).astype(np.int32))
-        for s in all_subgroups(grp, cap)
-    ]
+    return [SubgroupSet._of_vector(a.parent, _vector(emb[s._arr], a.parent.order)) for s in all_subgroups(grp, cap)]
 
 
 def subgroup_conjugacy_classes(
@@ -578,7 +565,7 @@ def subgroup_conjugacy_classes(
     done: set[int] = set()
     for i, s in enumerate(subs):
         if i not in done:
-            orbits.append(sorted(by_mask[m] for m in map(_mask_of, subgroup_orbit(parent, actors, s._arr)[0]) if m in by_mask))
+            orbits.append(sorted(by_mask[o.mask] for o in subgroup_orbit(parent, actors, s._arr)[0] if o.mask in by_mask))
             done.update(orbits[-1])
     return orbits
 

@@ -33,13 +33,17 @@ from sylowlab.numtheory import prime_power_base, valuation
 from sylowlab.subgroups import (
     SubgroupSet,
     _lattice_record,
-    _mask_of,
     as_group,
     centralizer,
     cyclic_subgroup,
     quotient,
     subgroup_orbit,
 )
+
+
+def bitset(arr) -> int:
+    """The bitset of an index array, bit i set for each index i."""
+    return sum(1 << int(i) for i in set(arr.tolist()))
 
 
 def brute_closure(group, seed) -> frozenset[int]:
@@ -183,7 +187,7 @@ def subgroups_by_layered_extension(group) -> list[tuple[int, ...]]:
             if cmask & hmask == cmask:
                 continue
             karr = closure_by_products(group, harr, carr, gen_closed=True)
-            kmask = _mask_of(karr)
+            kmask = bitset(karr)
             if kmask not in found:
                 found[kmask] = karr
                 if karr.size < group.order:
@@ -214,21 +218,19 @@ def lattice_by_cyclic_extension(group):
             if cmask & hmask == cmask:
                 continue
             karr = closure_by_products(group, harr, carr, gen_closed=True)
-            kmask = _mask_of(karr)
+            kmask = bitset(karr)
             if kmask in found:
                 continue
             if abelian:
                 classes.append(([kmask], np.full((1, group.order), len(found))))
                 found[kmask] = karr
             else:
-                rows, first, which = subgroup_orbit(group, everything, karr)
-                masks = [_mask_of(row) for row in rows]
-                classes.append((masks, len(found) + which[group.table[first]]))
-                found.update(zip(masks, rows))
+                subs, first, which = subgroup_orbit(group, everything, karr)
+                classes.append(([s.mask for s in subs], len(found) + which[group.table[first]]))
+                found.update((s.mask, s._arr) for s in subs)
             if karr.size < group.order:
                 work.append((kmask, karr))
-    subs = {mask: SubgroupSet._unchecked(group, arr) for mask, arr in found.items()}
-    return _lattice_record(group, subs, classes)
+    return _lattice_record(group, {mask: SubgroupSet(group, arr) for mask, arr in found.items()}, classes)
 
 
 def _generating_sequence(group) -> list[int]:
@@ -497,7 +499,7 @@ def tower_by_quotients(group, p: int, lam: int) -> list[np.ndarray]:
     cent_grp, emb = as_group(centralizer(group, witness))
     pos = np.full(group.order, -1, dtype=np.int32)
     pos[emb] = np.arange(emb.size, dtype=np.int32)
-    span_in_cent = SubgroupSet._unchecked(cent_grp, np.sort(pos[span._arr]).astype(np.int32))
+    span_in_cent = SubgroupSet(cent_grp, pos[span._arr])
     quot = quotient(cent_grp, span_in_cent)
     rest = tower_by_quotients(quot.group, p, lam - 1)
     lifted = [emb[np.flatnonzero(np.isin(quot.to_coset, arr))] for arr in rest]

@@ -97,12 +97,19 @@ def test_count_elements_of_order():
 def test_verify_order_p_form():
     rep = verify_order_p_form(build("sym:3"), 3)
     assert rep.passed and rep.counted == 2 and rep.params["n"] == 0
+    rep = verify_order_p_form(build("sym:3"), 2)
+    assert rep.passed and rep.counted == 3 and rep.params["n"] == 1
     rep = verify_order_p_form(build("alt:5"), 5)
     assert rep.passed and rep.counted == 24 and rep.params["n"] == 1
     rep = verify_order_p_form(build("cyclic:7"), 7)
     assert rep.passed and rep.counted == 6 and rep.params["n"] == 0
-    with pytest.raises(PrimeDoesNotDivideOrder):
-        verify_order_p_form(build("sym:3"), 5)
+    s3 = build("sym:3")
+    for p in (5, 7):
+        with pytest.raises(PrimeDoesNotDivideOrder):
+            verify_order_p_form(s3, p)
+    for p in (0, 1, 4, -2):  # refused before p - 1 divides anything
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            verify_order_p_form(s3, p)
 
 
 def test_solution_subgroup():
@@ -170,7 +177,7 @@ def test_s2_closes_each_distinct_solution_set_once(monkeypatch):
     assert ns == divisors(group.order)
     assert [r.params["n"] for r in reports if r.theorem_id == "S2.power"] == ns
     # n = 4, 8 share one solution set and n = 12, 24 another: 6 distinct sets for 8 divisors
-    assert len({ComplexSet(group, counting._solutions(group, n)).mask for n in ns}) == 6
+    assert len({counting._solutions(group, n).mask for n in ns}) == 6
     assert len(calls) == 6
 
 

@@ -14,7 +14,6 @@ from sylowlab.subgroups import (
     MAX_LATTICE_SIZE,
     ComplexSet,
     SubgroupSet,
-    _mask_of,
     _packed,
     _vector,
     all_subgroups,
@@ -72,27 +71,29 @@ def by_names(group, *names):
     return [group.element_names.index(n) for n in names]
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
-def test_mask_of_matches_the_set_of_members(dtype):
-    rng = np.random.default_rng(0)
-    assert _mask_of(np.array([], dtype=dtype)) == 0
-    for size in range(40):
-        arr = rng.integers(0, 512, size=size).astype(dtype)
-        assert _mask_of(arr) == sum(1 << int(i) for i in set(arr))
-
-
 def test_packed_mask_matches_the_shift_loop():
-    """A membership vector packs to the bitset the shift loop gives its index array, at any size up to 512."""
+    """A membership vector packs to the bitset the sum of shifted bits gives its index array, at any size up to 512."""
     rng = np.random.default_rng(23)
     for h in (1, 7, 8, 63, 64, 65, 120, 360, 512):
         group = build(f"cyclic:{h}")
         for size in sorted({0, 1, h // 2, h - 1, h, *rng.integers(0, h + 1, size=8).tolist()}):
             arr = np.sort(rng.choice(h, size=size, replace=False)).astype(np.int32)
-            expected = _mask_of(arr)
-            assert _packed(_vector(arr, h)) == expected == sum(1 << int(i) for i in arr), (h, size)
+            expected = sum(1 << int(i) for i in arr)
+            assert _packed(_vector(arr, h)) == expected, (h, size)
             assert ComplexSet(group, arr).mask == expected
             if size:
                 assert SubgroupSet._of_vector(group, _vector(arr, h)).mask == expected
+
+
+def test_membership_holds_only_for_an_integer_index_whose_bit_is_set():
+    """x in s is True only for a Python or numpy integer in [0, h) whose bit is set; no shift error, no truncation."""
+    c6 = build("cyclic:6")
+    sub = cyclic_subgroup(c6, 2)
+    assert sub.members == (0, 2, 4)
+    for s in (sub, ComplexSet(c6, sub._arr)):
+        assert 2 in s and np.int64(2) in s
+        for x in (-1, 6, 99, 2.9, "2", np.int64(-1), 1):
+            assert x not in s, x
 
 
 def test_complex_set_takes_any_iterable_of_indices():
@@ -112,7 +113,7 @@ def test_complex_set_sorted_array_fast_path_matches_the_general_path(spec):
     """A solution array gives the same record as the same indices in a list."""
     group = build(spec)
     for n in divisors(group.order):
-        sols = _solutions(group, n)
+        sols = _solutions(group, n)._arr
         fast, general = ComplexSet(group, sols), ComplexSet(group, sols.tolist())
         assert np.array_equal(fast._arr, general._arr) and fast._arr.dtype == np.int32
         assert (fast.mask, fast.size) == (general.mask, general.size)
@@ -166,9 +167,9 @@ def test_closure_matches_oracles_on_solution_sets(spec):
     trivial = np.zeros(1, dtype=np.int32)
     for n in divisors(group.order):
         sols = _solutions(group, n)
-        got = closure_of(ComplexSet(group, sols))
-        assert np.array_equal(got._arr, closure_by_products(group, trivial, sols)), n
-        assert set(got.members) == brute_closure(group, sols), n
+        got = closure_of(sols)
+        assert np.array_equal(got._arr, closure_by_products(group, trivial, sols._arr)), n
+        assert set(got.members) == brute_closure(group, sols._arr), n
 
 
 def test_closure_is_idempotent():
@@ -196,21 +197,42 @@ def test_all_subgroups_sym4_against_pair_oracle():
     assert len(got) == 30
 
 
-def test_all_subgroups_sorted_and_valid():
-    s4 = build("sym:4")
-    subs = all_subgroups(s4)
-    keys = [(s.size, s.members) for s in subs]
-    assert keys == sorted(keys)
-    for s in subs:
-        assert 0 in s
-        assert s4.order % s.size == 0
-        SubgroupSet(s4, s.members)  # re-validates closure
-
-
 @pytest.fixture(scope="module")
 def lattice_groups():
     """standard_catalog(60), which includes elab:2^5, plus dihedral:64."""
     return [group for _, group in standard_catalog(60)] + [build("dihedral:64")]
+
+
+def assert_represented(group, s):
+    """int32 strictly ascending members, their bitset and count, and a closed member set."""
+    assert s._arr.dtype == np.int32 and (np.diff(s._arr) > 0).all(), (group.label, s)
+    assert s.mask == sum(1 << int(i) for i in s._arr) and s.size == len(s._arr), (group.label, s)
+    assert SubgroupSet(group, s._arr) == s  # re-validates closure
+
+
+def test_all_subgroups_sorted_and_valid(lattice_groups):
+    """Every route to a subgroup keeps the one representation, sorted lattices included.
+
+    The routes: the lattice, subgroup_orbit's conjugates, and the vector
+    routes closure_of, sylow_chain, centralizer, cyclic_subgroup,
+    conjugate_subgroup and subgroups_within. A wrong bit order or an
+    unsorted read-back on any of them fails here.
+    """
+    for group in [build("sym:4")] + lattice_groups:
+        h, subs = group.order, all_subgroups(group)
+        keys = [(s.size, s.members) for s in subs]
+        assert keys == sorted(keys)
+        routes = list(subs)
+        for s in subs:
+            assert 0 in s and h % s.size == 0
+            routes += subgroup_orbit(group, np.arange(h), s._arr)[0]
+            routes.append(conjugate_subgroup(s, h - 1))
+        routes += [closure_of(_solutions(group, n)) for n in divisors(h)]
+        routes += [s for p in prime_factorization(h) for s in sylow_chain(group, p).chain]
+        routes += [f(group, x) for x in range(h) for f in (centralizer, cyclic_subgroup)]
+        routes += subgroups_within(subs[-2] if len(subs) > 1 else subs[0])
+        for s in routes:
+            assert_represented(group, s)
 
 
 def test_all_subgroups_matches_layered_extension_oracle(lattice_groups):
@@ -323,12 +345,13 @@ def test_lattice_size_bound_is_above_every_default_cap_lattice():
 
 @pytest.mark.parametrize("spec", ["dihedral:64", "alt:5", "prod(cyclic:2,q8)"])
 def test_subgroup_orbit_names_each_conjugate_and_its_first_actor(spec):
-    """rows are the distinct sorted conjugates; actors[first[i]] gives rows[i], actors[j] gives rows[which[j]]."""
+    """subs are the distinct conjugates; actors[first[i]] gives subs[i], actors[j] gives subs[which[j]]."""
     group = build(spec)
     conj = conj_table_by_inverse_rows(group)
     for actors in (np.arange(group.order), sylow_chain(group, 2).top._arr):
         for sub in lattice(group).subs:
-            rows, first, which = subgroup_orbit(group, actors, sub._arr)
+            subs, first, which = subgroup_orbit(group, actors, sub._arr)
+            rows = np.array([s._arr for s in subs])
             conjugates = np.sort(conj[actors][:, sub._arr], axis=1)
             assert len({row.tobytes() for row in rows}) == len(rows) == len({row.tobytes() for row in conjugates})
             assert np.array_equal(rows, conjugates[first]) and np.array_equal(rows[which], conjugates), (spec, sub)

@@ -13,9 +13,9 @@ from sylowlab.groups import FiniteGroup
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tracer():
-    """perfbench/tracer.py as a fresh module object, imported from its file and left unregistered."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+def load_perfbench(name):
+    """perfbench/<name>.py as a fresh module object, imported from its file and left unregistered."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -23,7 +23,7 @@ def load_tracer():
 
 def test_every_traced_name_resolves():
     """A traced function that is renamed or deleted would otherwise only show as a crash of a traced run."""
-    targets = load_tracer().TARGETS
+    targets = load_perfbench("tracer").TARGETS
     assert targets
     missing = []
     for span, (module_name, path) in targets.items():
@@ -36,10 +36,14 @@ def test_every_traced_name_resolves():
 
 
 def test_every_memo_key_kind_is_read_again_on_the_catalog(monkeypatch):
-    """The group cache keeps only what is read again: each key kind stored during verify --catalog 60 gets a hit.
+    """The group cache keeps only what is read again: each key kind stored gets a hit, on two argv lists.
 
-    A kind is the key itself, or its first item for a tuple key such as
-    ("closure", mask). A kind with misses and no hits only costs memory.
+    The lists are verify --catalog 60 and the pgroups benchmark calls, one
+    group each. A kind is the key itself, or its first item for a tuple
+    key such as ("closure", mask). A kind with misses and no hits only
+    costs memory. The large benchmark calls are left out: their
+    ("sylow_chain", p) entries are stored and never read again by design,
+    because above the lattice cap S3.I is the only reader of the tower.
     """
     misses, hits = Counter(), Counter()
     memo = FiniteGroup.memo
@@ -50,11 +54,16 @@ def test_every_memo_key_kind_is_read_again_on_the_catalog(monkeypatch):
         return memo(self, key, compute)
 
     monkeypatch.setattr(FiniteGroup, "memo", counted)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["verify", "--catalog", "60", "--json"]) == 0
-    audit = {kind: (misses[kind], hits[kind]) for kind in misses}
-    assert all(hit > 0 for _, hit in audit.values()), audit
-    assert set(audit) == {"subgroups", "closure", "automorphisms", "sylow_chain"}, audit
+    pgroups = load_perfbench("workloads").WORKLOADS["pgroups"]
+    for name, argvs in (("catalog60", [["verify", "--catalog", "60", "--json"]]), ("pgroups", pgroups)):
+        misses.clear()
+        hits.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                assert cli.main(argv) == 0, argv
+        audit = {kind: (misses[kind], hits[kind]) for kind in misses}
+        assert all(hit > 0 for _, hit in audit.values()), (name, audit)
+        assert set(audit) == {"subgroups", "closure", "automorphisms", "sylow_chain"}, (name, audit)
 
 
 def test_traced_construction_layers_are_reached():
@@ -63,7 +72,7 @@ def test_traced_construction_layers_are_reached():
     A builder restructured around them would leave catalog.build_s or
     groups.group_from_generators_s at 0 without failing anything else.
     """
-    tracer = load_tracer().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     tracer.install()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
