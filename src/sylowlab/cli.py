@@ -50,6 +50,8 @@ def _cmd_info(args, caps: Caps) -> int:
 
 
 def _cmd_subgroups(args, caps: Caps) -> int:
+    if args.order is not None and args.order < 1:
+        raise ValueError(f"--order needs a positive order, got {args.order}")
     group = _load_group(args.group, caps)
     lat = lattice(group, caps.subgroups)
     for sub, normal, norm_order in zip(lat.subs, lat.normal, lat.normalizer_order.tolist()):

@@ -120,18 +120,35 @@ def verify_divisibility(group: FiniteGroup, n: int) -> VerificationReport:
     return _divisibility_reports(group, [n])[0]
 
 
-def _divisibility_reports(group: FiniteGroup, ns: Sequence[int]) -> list[VerificationReport]:
-    """verify_divisibility for each n in ns, every count from one tally of the element orders."""
-    h, arr = group.order, np.asarray(ns)
+def _order_divides(group: FiniteGroup, ns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Which distinct element orders divide each n in ns (one row per n), and how many elements have each order."""
     tally = np.bincount(group.elem_order)
     orders = np.flatnonzero(tally)
-    counts = ((arr[:, None] % orders == 0) @ tally[orders]).tolist()
+    return np.asarray(ns)[:, None] % orders == 0, tally[orders]
+
+
+def _divisibility_reports(group: FiniteGroup, ns: Sequence[int]) -> list[VerificationReport]:
+    """verify_divisibility for each n in ns, every count from one tally of the element orders."""
+    h = group.order
+    divides, tally = _order_divides(group, ns)
+    counts = (divides @ tally).tolist()
     return [
         VerificationReport(
             "intro.gcd", group.label, {"n": n}, count, f"gcd({n},{h})={g} divides {count}", count % g == 0
         )
-        for n, g, count in zip(ns, np.gcd(arr, h).tolist(), counts)
+        for n, g, count in zip(ns, np.gcd(ns, h).tolist(), counts)
     ]
+
+
+def _solution_sets(group: FiniteGroup, ns: Sequence[int]) -> tuple[list[ComplexSet], list[int]]:
+    """The distinct solution sets of x^n = identity over n in ns, and the position of each n's set among them.
+
+    An n's set depends only on which element orders divide n, so n with
+    the same row of _order_divides share one set, built once.
+    """
+    position: dict[bytes, int] = {}
+    which = [position.setdefault(row.tobytes(), len(position)) for row in _order_divides(group, ns)[0]]
+    return [_solutions(group, ns[which.index(i)]) for i in range(len(position))], which
 
 
 def verify_order_p_form(group: FiniteGroup, p: int) -> VerificationReport:
@@ -163,24 +180,36 @@ def solution_subgroup(group: FiniteGroup, n: int, caps: Caps = DEFAULT_CAPS) -> 
     _require_positive(n=n)
     if group.order % n != 0:
         raise ValueError(f"n={n} must divide the group order {group.order}")
-    generated = closure_of(_solutions(group, n))
-    size_ok = generated.size % n == 0
-    if group.order <= caps.automorphisms:
-        char_ok = is_characteristic(generated, caps.automorphisms)
-        relation = f"n={n} divides closure order {generated.size}; characteristic={'yes' if char_ok else 'no'}"
-        passed = size_ok and char_ok
-    else:
-        relation = f"n={n} divides closure order {generated.size}; characteristic check skipped (cap)"
-        passed = size_ok
-    return VerificationReport(
-        theorem_id="S2.III",
-        group=group.label,
-        params={"n": n},
-        counted=generated.size,
-        relation=relation,
-        passed=passed,
-        witnesses=[_members_str(generated._arr)],
-    )
+    return _solution_subgroup_reports(group, [n], caps)[0]
+
+
+def _solution_subgroup_reports(group: FiniteGroup, ns: Sequence[int], caps: Caps) -> list[VerificationReport]:
+    """solution_subgroup for each n in ns, divisors of h, with one closure per distinct solution set.
+
+    The characteristic check and the witness string are made once per
+    distinct closure; only the divisibility and the text depend on n.
+    """
+    sets, which = _solution_sets(group, ns)
+    closures = [closure_of(s) for s in sets]
+    distinct = {k.mask: k for k in closures}
+    witness = {mask: _members_str(k._arr) for mask, k in distinct.items()}
+    check_char = group.order <= caps.automorphisms
+    characteristic = {mask: is_characteristic(k, caps.automorphisms) for mask, k in distinct.items() if check_char}
+    reports = []
+    for n, i in zip(ns, which):
+        generated = closures[i]
+        size_ok = generated.size % n == 0
+        if check_char:
+            char_ok = characteristic[generated.mask]
+            relation = f"n={n} divides closure order {generated.size}; characteristic={'yes' if char_ok else 'no'}"
+            passed = size_ok and char_ok
+        else:
+            relation = f"n={n} divides closure order {generated.size}; characteristic check skipped (cap)"
+            passed = size_ok
+        reports.append(VerificationReport(
+            "S2.III", group.label, {"n": n}, generated.size, relation, passed, [witness[generated.mask]]
+        ))
+    return reports
 
 
 def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSet]:
@@ -205,7 +234,7 @@ def complex_power_stabilization(r_set: ComplexSet) -> tuple[int, int, SubgroupSe
     k = 1
     while (key := present.tobytes()) not in seen:  # present holds R^k
         seen[key] = k
-        seq.append(np.flatnonzero(present))
+        seq.append(present.nonzero()[0])
         if seq[-1].size + base.size > group.order:
             present = np.ones(group.order, dtype=bool)
         else:
@@ -228,18 +257,22 @@ def power_stabilization_check(group: FiniteGroup, n: int) -> VerificationReport:
     _require_positive(n=n)
     if group.order % n != 0:
         raise ValueError(f"n={n} must divide the group order {group.order}")
-    sols = _solutions(group, n)
-    rr, ss, stabilized = complex_power_stabilization(sols)
-    expected = closure_of(sols)
-    passed = ss == 1 and stabilized == expected and stabilized.size % n == 0
-    return VerificationReport(
-        theorem_id="S2.power",
-        group=group.label,
-        params={"n": n, "r": rr, "s": ss},
-        counted=stabilized.size,
-        relation=f"R^{rr}=R^{rr + 1} equals the closure; order divisible by {n}",
-        passed=passed,
-    )
+    return _power_stabilization_reports(group, [n])[0]
+
+
+def _power_stabilization_reports(group: FiniteGroup, ns: Sequence[int]) -> list[VerificationReport]:
+    """power_stabilization_check for each n in ns, divisors of h: one power sequence per distinct solution set."""
+    sets, which = _solution_sets(group, ns)
+    runs = [(complex_power_stabilization(s), closure_of(s)) for s in sets]
+    reports = []
+    for n, i in zip(ns, which):
+        (rr, ss, stabilized), expected = runs[i]
+        passed = ss == 1 and stabilized == expected and stabilized.size % n == 0
+        reports.append(VerificationReport(
+            "S2.power", group.label, {"n": n, "r": rr, "s": ss}, stabilized.size,
+            f"R^{rr}=R^{rr + 1} equals the closure; order divisible by {n}", passed,
+        ))
+    return reports
 
 
 def verify_coprime_product(group: FiniteGroup, r: int, s: int) -> VerificationReport:
@@ -651,8 +684,8 @@ _SUITE = (
     _Check("intro.pcount", False, lambda g, caps, p: [verify_order_p_form(g, q) for q in _primes(g)]),
     _Check("intro.sylow", True, lambda g, caps, p: [sylow_single_class(g, q, caps) for q in _primes(g)]),
     _Check("S3.I", False, lambda g, caps, p: [sylow_chain_check(g, q, caps) for q in _primes(g)]),
-    _Check("S2.III", False, lambda g, caps, p: [solution_subgroup(g, n, caps) for n in divisors(g.order)]),
-    _Check("S2.power", False, lambda g, caps, p: [power_stabilization_check(g, n) for n in divisors(g.order)]),
+    _Check("S2.III", False, lambda g, caps, p: _solution_subgroup_reports(g, divisors(g.order), caps)),
+    _Check("S2.power", False, lambda g, caps, p: _power_stabilization_reports(g, divisors(g.order))),
     _Check("S2.IV", False, lambda g, caps, p: [verify_coprime_product(g, r, s) for r, s in _coprime_pairs(g)]),
     _Check("S4.I", True, lambda g, caps, p: [count_p_subgroups(g, p, k, caps) for k in _kappas(g, p)], per_prime=True),
     _Check("S4.II", True, _p_subgroup_reports, per_prime=True),

@@ -161,7 +161,7 @@ def _extend_subgroup(group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarra
     h = group.order
     table = group.table
     present = _vector(sub_arr, h)
-    outside = np.flatnonzero(_vector(gen_arr, h) & ~present)
+    outside = (_vector(gen_arr, h) & ~present).nonzero()[0]
     if outside.size == 0:
         return present
     count = sub_arr.size
@@ -179,15 +179,15 @@ def _extend_subgroup(group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarra
             square = int(table[square, square])
         multipliers = np.concatenate((multipliers, powers))
         prods = table[np.ix_(members, powers)].ravel()
-        frontier = np.flatnonzero(_vector(prods, h) & ~present)
+        frontier = (_vector(prods, h) & ~present).nonzero()[0]
         while frontier.size:
             present[frontier] = True
             count += frontier.size
             if 2 * count > h:
                 return np.ones(h, dtype=bool)
             prods = table[np.ix_(frontier, multipliers)].ravel()
-            frontier = np.flatnonzero(_vector(prods, h) & ~present)
-        members = np.flatnonzero(present)
+            frontier = (_vector(prods, h) & ~present).nonzero()[0]
+        members = present.nonzero()[0]
     return present
 
 
@@ -338,13 +338,13 @@ def _lattice(group: FiniteGroup) -> Lattice:
                 else:
                     present = _extend_subgroup(group, harr, np.array([g]))
                     inside[powers[:, g]] = True
-                k = SubgroupSet._of_vector(group, present)
-                if k.mask in found:
+                mask = _packed(present)
+                if mask in found:
                     continue
                 if abelian:  # every element fixes K
-                    subs, moves = [k], np.full((1, h), len(found))
+                    subs, moves = [SubgroupSet._of_vector(group, present)], np.full((1, h), len(found))
                 else:
-                    subs, first, which = subgroup_orbit(group, everything, k._arr)
+                    subs, first, which = subgroup_orbit(group, everything, present.nonzero()[0])
                     moves = len(found) + which[table[first]]  # (K^s)^t = K^(st)
                 masks = [s.mask for s in subs]
                 found.update(zip(masks, subs))
@@ -353,8 +353,8 @@ def _lattice(group: FiniteGroup) -> Lattice:
                     raise EnumerationCapExceeded(
                         f"{group.label} has more than {MAX_LATTICE_SIZE} subgroups, the lattice size bound"
                     )
-                if k.size < h:
-                    work.append(k.mask)
+                if not present.all():
+                    work.append(mask)
     return _lattice_record(group, found, classes)
 
 

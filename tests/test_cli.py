@@ -227,6 +227,13 @@ def test_verify_empty_catalog_exits_2(capsys, max_order):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_subgroups_order_below_one_exits_2(capsys, order):
+    code, out, err = run_cli(capsys, "subgroups", "cyclic:6", "--order", order)
+    assert code == 2 and out == ""
+    assert err == f"error: --order needs a positive order, got {order}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["info", "perm:(1 1000000)"], "permutation degree 1000000 exceeds construction cap 512"),
     (["info", "sym:100000"], "permutation degree 100000 exceeds construction cap 512"),

@@ -162,15 +162,24 @@ def test_power_stabilization_check_over_divisors():
 
 
 def test_s2_closes_each_distinct_solution_set_once(monkeypatch):
-    """S2.III, S2.power and complex_power_stabilization share one closure per distinct solution set."""
-    calls = []
-    extend = subgroups._extend_subgroup
+    """S2.III and S2.power do their work once per distinct solution set, not once per divisor.
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return extend(*args, **kwargs)
+    One closure and one power sequence per set, shared by both rows and
+    by complex_power_stabilization's invariant, and one S2.III witness
+    string per distinct closure.
+    """
+    calls = {"extend": 0, "powers": 0, "witnesses": 0}
 
-    monkeypatch.setattr(subgroups, "_extend_subgroup", counted)
+    def counting_calls(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(subgroups, "_extend_subgroup", counting_calls("extend", subgroups._extend_subgroup))
+    monkeypatch.setattr(counting, "complex_power_stabilization",
+                        counting_calls("powers", counting.complex_power_stabilization))
+    monkeypatch.setattr(counting, "_members_str", counting_calls("witnesses", counting._members_str))
     group = build("sym:4")
     reports = theorem_suite(group, selected=select_checks("S2"))
     ns = [r.params["n"] for r in reports if r.theorem_id == "S2.III"]
@@ -178,7 +187,9 @@ def test_s2_closes_each_distinct_solution_set_once(monkeypatch):
     assert [r.params["n"] for r in reports if r.theorem_id == "S2.power"] == ns
     # n = 4, 8 share one solution set and n = 12, 24 another: 6 distinct sets for 8 divisors
     assert len({counting._solutions(group, n).mask for n in ns}) == 6
-    assert len(calls) == 6
+    # they close onto 3 subgroups, the trivial one, A4 and S4, so S2.III formats 3 witnesses
+    assert len({closure_of(counting._solutions(group, n)).mask for n in ns}) == 3
+    assert calls == {"extend": 6, "powers": 6, "witnesses": 3}
 
 
 def test_power_stabilization_disagreeing_with_closure_is_an_engine_fault(monkeypatch, capsys):
@@ -681,6 +692,29 @@ def test_batched_rows_match_their_single_report_functions(suites):
                     naive = sum(sub.contains_subgroup(q) and q.mask in normal for q in below)
                     assert normal_within[-1].counted == naive, (spec, sub)
         assert only(reports, "S5.II") == normal_within, spec
+
+
+def assert_s2_rows_match_single_reports(spec, reports):
+    """The suite's S2.III and S2.power lines equal those of the single-report functions on a fresh build."""
+    group = build(spec)
+    ns = divisors(group.order)
+    assert [r.json_line() for r in only(reports, "S2.III")] == [solution_subgroup(group, n).json_line() for n in ns]
+    assert [r.json_line() for r in only(reports, "S2.power")] == [
+        power_stabilization_check(group, n).json_line() for n in ns
+    ]
+
+
+def test_batched_s2_rows_match_their_single_report_functions(suites):
+    """The S2 rows, with one closure and one power sequence per distinct solution set, give the single reports."""
+    for spec, _, reports in suites:
+        assert_s2_rows_match_single_reports(spec, reports)
+
+
+@pytest.mark.parametrize("spec", LARGE_SPECS)
+def test_batched_s2_rows_on_large_groups(spec):
+    """Above the automorphism cap too, where S2.III skips the characteristic check."""
+    reports = theorem_suite(build(spec), selected=select_checks("S2.III,S2.power"))
+    assert_s2_rows_match_single_reports(spec, reports)
 
 
 @pytest.mark.parametrize("spec", LARGE_SPECS)
