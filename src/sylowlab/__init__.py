@@ -60,7 +60,6 @@ from .subgroups import (
     is_characteristic,
     is_cyclic,
     is_normal,
-    is_normal_within,
     join,
     lattice,
     normalizer,

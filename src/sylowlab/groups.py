@@ -327,7 +327,9 @@ def group_from_generators(
 
 
 def _check_element(group: FiniteGroup, x: ElementIndex) -> None:
-    """ValueError unless x is an element index of the group, in [0, h)."""
+    """ValueError unless x is an element index of the group: an integer, not a bool, a float or a string, in [0, h)."""
+    if not isinstance(x, (int, np.integer)) or isinstance(x, bool):  # numpy reads a bool index as a mask
+        raise ValueError(f"element index {x!r} is not an integer")
     if not 0 <= x < group.order:
         raise ValueError(f"element index {x} out of range for order {group.order}")
 

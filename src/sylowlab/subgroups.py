@@ -58,13 +58,15 @@ class ComplexSet:
         self._store(parent, members)
 
     def _store(self, parent: FiniteGroup, members: Iterable[int]) -> np.ndarray:
-        """Set the fields from members, deduplicated and sorted; returns their membership vector."""
-        arr = members
-        if not (isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype.kind in "iu"):
-            arr = np.fromiter(members, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= parent.order):
+        """Set the fields from integer members, deduplicated and sorted; returns their membership vector."""
+        if not isinstance(members, np.ndarray):
+            members = list(members)  # a member that is not an integer makes an object array, refused below
+            members = np.array(members, dtype=np.int64 if all(isinstance(x, (int, np.integer)) for x in members) else object)
+        if members.ndim != 1 or members.dtype.kind not in "iu":
+            raise ValueError("members must be integer element indices")
+        if members.size and (members.min() < 0 or members.max() >= parent.order):
             raise ValueError("members out of range for parent group")
-        present = _vector(arr, parent.order)
+        present = _vector(members, parent.order)
         self._fill(parent, present)
         return present
 
@@ -397,10 +399,14 @@ def is_normal(a: SubgroupSet) -> bool:
     return normalizer(a).size == a.parent.order
 
 
-def is_normal_within(a: SubgroupSet, ambient: SubgroupSet) -> bool:
-    """True iff every element t of ambient conjugates A to itself, conjugating by ambient's members only."""
-    _require_same_parent(a, ambient)
-    return bool(_vector(a._arr, a.parent.order)[conjugates(a.parent, ambient._arr, a._arr)].all())
+def _is_normal_of_prime_index(a: SubgroupSet, b: SubgroupSet) -> bool:
+    """True iff A is normal in B, for A inside B of prime index: iff t^-1 A t lies in A, t the least member of B \\ A.
+
+    B = <A, t> by Lagrange. Test the index and the nesting first: with B \\ A empty, t is -1, numpy's last element.
+    """
+    outside = b.mask & ~a.mask
+    t = (outside & -outside).bit_length() - 1
+    return bool(_vector(a._arr, a.parent.order)[conjugates(a.parent, [t], a._arr)].all())
 
 
 def normalizer(a: SubgroupSet) -> SubgroupSet:

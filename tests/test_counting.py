@@ -40,7 +40,7 @@ from sylowlab.errors import (
     PrimeDoesNotDivideOrder,
     PrimePowerDoesNotDivideOrder,
 )
-from sylowlab.groups import FiniteGroup, group_from_table
+from sylowlab.groups import FiniteGroup, conjugates, group_from_table
 from sylowlab.numtheory import divisors, prime_factorization, valuation
 from sylowlab.subgroups import (
     ComplexSet,
@@ -50,7 +50,6 @@ from sylowlab.subgroups import (
     conjugate_subgroup,
     generated_subgroup,
     is_normal,
-    is_normal_within,
     normalizer,
     subgroups_of_order,
     trivial_subgroup,
@@ -58,7 +57,7 @@ from sylowlab.subgroups import (
 )
 from sylowlab.sylow import p_part_decomposition, sylow_chain
 
-from oracles import sylow_normals_by_normalizers
+from oracles import is_normal_within_by_scan, sylow_normals_by_normalizers
 from test_subgroups import EXTRA_PGROUPS, PSL27
 from test_sylow import LARGE_SPECS
 
@@ -325,12 +324,12 @@ def test_classify_kinds_agrees_with_sylow_membership():
                 kinds, _ = classify_kinds(group, p, kappa)
                 for sub in kinds.first_kind:
                     assert any(
-                        s.contains_subgroup(sub) and is_normal_within(sub, s)
+                        s.contains_subgroup(sub) and is_normal_within_by_scan(sub, s)
                         for s in sylows
                     )
                 for sub in kinds.second_kind:
                     assert not any(
-                        s.contains_subgroup(sub) and is_normal_within(sub, s)
+                        s.contains_subgroup(sub) and is_normal_within_by_scan(sub, s)
                         for s in sylows
                     )
 
@@ -500,6 +499,41 @@ def test_sylow_chain_check_catalog():
     for _, group in standard_catalog(24):
         for p in prime_factorization(group.order):
             assert sylow_chain_check(group, p).passed
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "sym:5", "elab:2^9", "dihedral:512"])
+def test_broken_towers_fail_s3i_on_both_sides_of_the_lattice_cap(monkeypatch, spec):
+    """A tower with its top dropped, a level repeated or its terms reversed fails S3.I, and nothing raises.
+
+    sym:4 is under the lattice cap; the other three are above it, where the
+    orders alone show a missing top. A repeated level leaves B \\ A empty,
+    which the one-row normality test must never see.
+    """
+    group = build(spec)
+    real = {p: sylow_chain(group, p) for p in prime_factorization(group.order)}
+    for p, tower in real.items():
+        chain = tower.chain
+        for broken in {chain[:-1], chain[:1] + chain, chain[::-1]} - {chain}:
+            monkeypatch.setattr(counting, "sylow_chain", lambda g, q: dataclasses.replace(real[q], chain=broken))
+            rep = sylow_chain_check(group, p)
+            assert not rep.passed, (spec, p, [s.size for s in broken])
+            assert rep.params == {"p": p, "lambda": len(chain)} and rep.counted == len(chain)
+
+
+@pytest.mark.parametrize("spec", ["elab:2^9", "dihedral:512"])
+def test_s3i_conjugates_one_row_per_tower_step(monkeypatch, spec):
+    """Each step A < B of the tower takes one conjugates call with one actor, not one row per member of B."""
+    group = build(spec)
+    steps = len(sylow_chain(group, 2).chain) - 1
+    actors = []
+
+    def counted(group, acting, members):
+        actors.append(len(acting))
+        return conjugates(group, acting, members)
+
+    monkeypatch.setattr(subgroups, "conjugates", counted)
+    assert sylow_chain_check(group, 2).passed
+    assert actors == [1] * steps == [1] * 8
 
 
 def test_ambient_characteristic_form():

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from sylowlab.catalog import build, catalog_specs, standard_catalog
 from sylowlab.counting import _solutions, complex_power_stabilization
 from sylowlab.errors import ClosureExceedsCap, EnumerationCapExceeded, NotNormal, ParentMismatch
-from sylowlab.groups import Permutation, element_order, group_from_generators
-from sylowlab.numtheory import divisors, prime_factorization, valuation
+from sylowlab.groups import Permutation, conjugate, element_order, group_from_generators, power
+from sylowlab.numtheory import divisors, is_prime, prime_factorization, valuation
 from sylowlab.subgroups import (
     MAX_LATTICE_SIZE,
     ComplexSet,
     SubgroupSet,
+    _is_normal_of_prime_index,
     _packed,
     _vector,
     all_subgroups,
@@ -29,7 +30,6 @@ from sylowlab.subgroups import (
     is_characteristic,
     is_cyclic,
     is_normal,
-    is_normal_within,
     join,
     lattice,
     normalizer,
@@ -42,7 +42,7 @@ from sylowlab.subgroups import (
     whole_group,
 )
 from sylowlab import subgroups as subgroups_module
-from sylowlab.sylow import sylow_chain
+from sylowlab.sylow import coprime_decomposition, p_part_decomposition, sylow_chain
 
 from oracles import (
     automorphisms_by_backtracking,
@@ -131,6 +131,50 @@ def test_generated_subgroup_rejects_out_of_range_indices():
     for bad in ([-1], [6], [1, 2**40]):
         with pytest.raises(ValueError):
             generated_subgroup(s3, bad)
+
+
+@pytest.mark.parametrize("members", [
+    [1.5], np.array([2.7]), ["3"], np.array([True, False, True]), [np.float64(2)], [np.True_], [[0, 1]], np.array(0),
+], ids=["float", "float-array", "string", "bool-array", "numpy-float", "numpy-bool", "nested", "0-d-array"])
+def test_element_sets_refuse_members_that_are_not_integers(members):
+    """No float is truncated to an index, no string parsed as one, and no boolean mask read as the indices it marks."""
+    c6 = build("cyclic:6")
+    for make in (ComplexSet, SubgroupSet, generated_subgroup):
+        with pytest.raises(ValueError, match="^members must be integer element indices$"):
+            make(c6, members)
+
+
+@pytest.mark.parametrize("members, expected", [
+    ([True, 0], (0, 1)),
+    ([np.int8(3), 0], (0, 3)),
+    (np.array([0, 3], dtype=np.uint8), (0, 3)),
+    (np.array([4, 2, 0, 2], dtype=np.int16), (0, 2, 4)),
+    (range(0, 6, 3), (0, 3)),
+    ((x for x in (0, 2, 4)), (0, 2, 4)),
+    ([], ()),
+], ids=["bool-scalar", "numpy-int", "uint8-array", "int16-array", "range", "generator", "empty"])
+def test_element_sets_take_integers_of_any_kind(members, expected):
+    """Python ints (bool scalars too, as membership does), numpy integer scalars and arrays of any width."""
+    assert ComplexSet(build("cyclic:6"), members).members == expected
+
+
+@pytest.mark.parametrize("x", [1.5, np.float64(1), "1", True], ids=["float", "numpy-float", "string", "bool"])
+@pytest.mark.parametrize("call", [
+    lambda group, x: element_order(group, x),
+    lambda group, x: power(group, x, 2),
+    lambda group, x: conjugate(group, x, 0),
+    lambda group, x: conjugate(group, 0, x),
+    lambda group, x: cyclic_subgroup(group, x),
+    lambda group, x: centralizer(group, x),
+    lambda group, x: conjugate_subgroup(whole_group(group), x),
+    lambda group, x: coprime_decomposition(group, x, 2, 3),
+    lambda group, x: p_part_decomposition(group, x, 2),
+], ids=["element_order", "power", "conjugate_x", "conjugate_t", "cyclic_subgroup", "centralizer",
+        "conjugate_subgroup", "coprime_decomposition", "p_part_decomposition"])
+def test_element_indices_must_be_integers(call, x):
+    """A float, a string or a bool never reaches a numpy index, where it would raise IndexError or be read as a mask."""
+    with pytest.raises(ValueError, match="is not an integer$"):
+        call(build("cyclic:6"), x)
 
 
 def test_subgroup_set_validation():
@@ -495,21 +539,36 @@ def test_normalizer_and_is_normal_match_the_former_scans(lattice_groups):
 
 
 def assert_is_normal_within_matches(group, subs):
-    """On every ordered pair: the former scan, and the normalizer containment it replaced."""
+    """On every ordered pair, the former scan and the normalizer containment that replaced it agree.
+
+    On every pair of prime index, the one-row test S3.I uses agrees too.
+    Returns the number of prime-index pairs and how many are not normal.
+    """
     norms = [normalizer(a) for a in subs]
+    pairs = not_normal = 0
     for a, norm in zip(subs, norms):
         for b in subs:
             expected = is_normal_within_by_scan(a, b)
-            assert is_normal_within(a, b) == expected == norm.contains_subgroup(b), (group.label, a, b)
+            assert expected == norm.contains_subgroup(b), (group.label, a, b)
+            if b.contains_subgroup(a) and b.size % a.size == 0 and is_prime(b.size // a.size):
+                assert _is_normal_of_prime_index(a, b) == expected, (group.label, a, b)
+                pairs += 1
+                not_normal += not expected
+    return pairs, not_normal
 
 
 def test_is_normal_within_matches_the_former_scan():
-    """Lattice subgroups up to order 24, and the terms of every Sylow tower, also above the lattice cap."""
-    for _, group in standard_catalog(24):
-        assert_is_normal_within_matches(group, all_subgroups(group))
+    """Lattice subgroups up to order 24, and the terms of every Sylow tower, also above the lattice cap.
+
+    The one-row test sees non-normal pairs on the lattices, such as <(1 2)> < sym:3,
+    and every step of every tower, each of prime index.
+    """
+    counts = [assert_is_normal_within_matches(group, all_subgroups(group)) for _, group in standard_catalog(24)]
+    assert tuple(map(sum, zip(*counts))) == (834, 110)
     for group in [g for _, g in standard_catalog(60)] + [build(spec) for spec in LARGE_SPECS]:
         for p in prime_factorization(group.order):
-            assert_is_normal_within_matches(group, sylow_chain(group, p).chain)
+            chain = sylow_chain(group, p).chain
+            assert assert_is_normal_within_matches(group, chain) == (len(chain) - 1, 0), (group.label, p)
 
 
 @pytest.mark.parametrize("x", [-1, 6])
