@@ -278,8 +278,9 @@ def verify_coprime_product(group: FiniteGroup, r: int, s: int) -> VerificationRe
     h = group.order
     if h % r != 0 or h % s != 0:
         raise ValueError(f"both {r} and {s} must divide the group order {h}")
-    count_r = count_solutions(group, r)
-    count_s = count_solutions(group, s)
+    a_arr = (r % group.elem_order == 0).nonzero()[0]  # the solutions of x^r = e
+    b_arr = (s % group.elem_order == 0).nonzero()[0]
+    count_r, count_s = a_arr.size, b_arr.size
     params = {"r": r, "s": s}
     if count_r != r or count_s != s:
         return VerificationReport(
@@ -291,8 +292,6 @@ def verify_coprime_product(group: FiniteGroup, r: int, s: int) -> VerificationRe
             passed=True,
             applicable=False,
         )
-    a_arr = _solutions(group, r)._arr
-    b_arr = _solutions(group, s)._arr
     prods = group.table[np.ix_(a_arr, b_arr)]
     commuting = bool((prods == group.table[np.ix_(b_arr, a_arr)].T).all())
     distinct = np.count_nonzero(_vector(prods, group.order)) == r * s
@@ -379,17 +378,16 @@ def incidence_check(group: FiniteGroup, p: int, kappa: int, caps: Caps = DEFAULT
     lat = lattice(group, caps.subgroups)
     incidence = lat.contains[lat.of_order(p**kappa), lat.of_order(p ** (kappa - 1))]  # [b, a]: b contains a
     a_counts, b_counts = incidence.sum(axis=0).tolist(), incidence.sum(axis=1).tolist()
-    sum_a, sum_b = sum(a_counts), sum(b_counts)
+    pairs = sum(a_counts)  # the b side sums the same matrix, so it cannot differ
     bad = {side: [i for i, c in enumerate(counts) if c % p != 1] for side, counts in (("a", a_counts), ("b", b_counts))}
     witnesses = [f"bad {side} at index {where[0]}" for side, where in bad.items() if where]
-    passed = sum_a == sum_b and not witnesses
     return VerificationReport(
         theorem_id="S4.4",
         group=group.label,
         params={"p": p, "kappa": kappa},
-        counted=[sum_a, sum_b],
-        relation=f"pair count both ways ({sum_a}={sum_b}); every a,b == 1 (mod {p})",
-        passed=passed,
+        counted=[pairs, pairs],
+        relation=f"pair count both ways ({pairs}={pairs}); every a,b == 1 (mod {p})",
+        passed=not witnesses,
         witnesses=witnesses,
     )
 
@@ -467,16 +465,15 @@ def _normal_within_reports(
     return reports
 
 
-def _sylow_normals(lat: Lattice, top: SubgroupSet) -> tuple[int, np.ndarray, np.ndarray]:
-    """|N(P)|, the rows of the subgroups normal in a Sylow subgroup P, and their N(P)-orbits.
+def _sylow_normals(lat: Lattice, top_row: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """|N(P)|, the rows of the subgroups normal in the Sylow subgroup P at top_row, and their N(P)-orbits.
 
     All three are slices of the lattice's action table: Q <= P is normal in
     P iff every element of P fixes Q's row; N(P), the elements fixing P's
     row, permutes those Q, and each of its orbits is named by its least row.
     """
-    top_row = lat.index[top.mask]
     below = np.flatnonzero(lat.contains[top_row])
-    rows = below[(lat.action[below[:, None], top._arr] == below[:, None]).all(axis=1)]
+    rows = below[(lat.action[below[:, None], lat.subs[top_row]._arr] == below[:, None]).all(axis=1)]
     norm_top = np.flatnonzero(lat.action[top_row] == top_row)
     return norm_top.size, rows, lat.action[rows[:, None], norm_top].min(axis=1)
 
@@ -488,15 +485,15 @@ def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Verifi
     number of Q's conjugates in G, its lattice class size, and p'/r =
     |N(P)|/|N(Q) meet N(P)| the number of its conjugates under N(P).
 
-    Not applicable when the Sylow p-subgroup is normal: there is no proper
-    conjugate to define delta.
+    P is the first order-p^lambda row of the lattice (all Sylow p-subgroups
+    are conjugate). Not applicable when the Sylow p-subgroup is normal:
+    there is no proper conjugate to define delta.
     """
     _require_prime_divides(group, p)
     h = group.order
     lam = valuation(h, p)
-    top = sylow_chain(group, p).top
     lat = lattice(group, caps.subgroups)
-    top_row = lat.index[top.mask]
+    top_row = lat.of_order(p**lam).start
     if lat.normal[top_row]:
         return VerificationReport(
             theorem_id="S5.7",
@@ -508,9 +505,10 @@ def congruence7(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Verifi
             applicable=False,
         )
     conjugates = np.flatnonzero(lat.class_id == lat.class_id[top_row])
-    delta = max(valuation((lat.subs[j].mask & top.mask).bit_count(), p) for j in conjugates if j != top_row)
+    top_mask = lat.subs[top_row].mask
+    delta = max(valuation((lat.subs[j].mask & top_mask).bit_count(), p) for j in conjugates if j != top_row)
     modulus = p ** (lam - delta)
-    p_prime, normals, local = _sylow_normals(lat, top)
+    p_prime, normals, local = _sylow_normals(lat, top_row)
     h_q = lat.class_size[normals]  # h/q': Q's conjugates in G
     p_r = np.bincount(local)[local]  # p'/r: Q's conjugates under N(P)
     if (h % h_q).any() or (p_prime % p_r).any():
@@ -537,12 +535,13 @@ def normal_fusion_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -
 
     Also checks the class-count corollary: first-kind subgroups of each
     order fall into as many H-classes as the Sylow subgroup's normal
-    subgroups do under its normalizer.
+    subgroups do under its normalizer. The Sylow subgroup is the first
+    lattice row of its order.
     """
     _require_prime_divides(group, p)
     lam = valuation(group.order, p)
     lat = lattice(group, caps.subgroups)
-    _, rows, local = _sylow_normals(lat, sylow_chain(group, p).top)
+    _, rows, local = _sylow_normals(lat, lat.of_order(p**lam).start)
     normals = [lat.subs[j] for j in rows]
     ids = lat.class_id[rows]
     fused = np.flatnonzero(np.bincount(ids)[ids] > 1)  # positions H-conjugate to another normal subgroup

@@ -35,7 +35,6 @@ class SylowChain:
     """Nested subgroups of orders p, p^2, ..., p^lambda."""
 
     prime: int
-    exponent: int
     chain: tuple[SubgroupSet, ...]
 
     @property
@@ -94,14 +93,10 @@ def _require_prime_divides(group: FiniteGroup, p: int) -> None:
 
 
 def sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
-    """A tower of p-subgroups of orders p, p^2, ..., up to a full Sylow p-subgroup, memoised per prime."""
+    """A tower of p-subgroups of orders p, p^2, ..., up to a full Sylow p-subgroup."""
     _require_prime_divides(group, p)
-    lam = valuation(group.order, p)
-    return group.memo(("sylow_chain", p), lambda: SylowChain(
-        prime=p,
-        exponent=lam,
-        chain=tuple(SubgroupSet._of_vector(group, present) for present in _chain_members(group, p, lam)),
-    ))
+    members = _chain_members(group, p, valuation(group.order, p))
+    return SylowChain(prime=p, chain=tuple(SubgroupSet._of_vector(group, present) for present in members))
 
 
 def chief_series(pgroup: FiniteGroup) -> ChiefSeries:

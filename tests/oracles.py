@@ -575,6 +575,20 @@ def sylow_normals_by_normalizers(lat, top) -> tuple[int, list[int], list[tuple[i
     return len(norm_top), rows, sides
 
 
+def reduced_euler_characteristic_of_p_subgroups(lat, p: int) -> int:
+    """mu(0, 1) of the nontrivial p-subgroups with a bottom (the trivial row) and a top adjoined.
+
+    Forward substitution in row order, which lists every subgroup after
+    those it contains: mu(0, x) is minus the sum of mu(0, y) over y < x.
+    Brown (1975): the value is 0 modulo the p-part of the group order.
+    """
+    rows = [j for j, size in enumerate(lat.sizes.tolist()) if size == 1 or prime_power_base(size) == p]
+    mu = [1]
+    for i, x in enumerate(rows[1:], 1):
+        mu.append(-sum(mu[k] for k, y in enumerate(rows[:i]) if lat.contains[x, y]))
+    return -sum(mu)
+
+
 def class_ids_by_least_action(lat) -> np.ndarray:
     """The engine's former class ids: each row's least conjugate row, read off the action table, ranked."""
     return np.unique(lat.action.min(axis=1), return_inverse=True)[1]

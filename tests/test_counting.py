@@ -7,6 +7,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sylowlab import cli, counting, subgroups
 from sylowlab.catalog import build, standard_catalog
@@ -33,6 +35,7 @@ from sylowlab.counting import (
     verify_order_p_form,
 )
 from sylowlab.errors import (
+    ClosureExceedsCap,
     NotAPGroup,
     NotAPSubgroup,
     NotCoprime,
@@ -40,7 +43,7 @@ from sylowlab.errors import (
     PrimeDoesNotDivideOrder,
     PrimePowerDoesNotDivideOrder,
 )
-from sylowlab.groups import FiniteGroup, conjugates, group_from_table
+from sylowlab.groups import FiniteGroup, Permutation, conjugates, group_from_generators, group_from_table
 from sylowlab.numtheory import divisors, prime_factorization, valuation
 from sylowlab.subgroups import (
     ComplexSet,
@@ -57,7 +60,11 @@ from sylowlab.subgroups import (
 )
 from sylowlab.sylow import p_part_decomposition, sylow_chain
 
-from oracles import is_normal_within_by_scan, sylow_normals_by_normalizers
+from oracles import (
+    is_normal_within_by_scan,
+    reduced_euler_characteristic_of_p_subgroups,
+    sylow_normals_by_normalizers,
+)
 from test_subgroups import EXTRA_PGROUPS, PSL27
 from test_sylow import LARGE_SPECS
 
@@ -464,16 +471,19 @@ def test_sylow_normals_match_the_normalizer_computation():
     """P's normal subgroups and both orbit lengths of S5.7 against the former per-subgroup normalizers.
 
     h/q' is the lattice class size and p'/r the length of the N(P)-orbit.
+    Every Sylow p-subgroup row is tried as P, not only the first one the
+    suite takes.
     """
     specs = [(spec, None) for spec, _ in standard_catalog(60)] + [(spec, None) for spec in EXTRA_PGROUPS]
     for spec, cap in specs + [("sym:5", 120), (PSL27, 168)]:
         group = build(spec)
         lat = subgroups.lattice(group, cap)
-        for p in prime_factorization(group.order):
-            top = sylow_chain(group, p).top
-            p_prime, rows, local = counting._sylow_normals(lat, top)
-            sides = list(zip(lat.class_size[rows].tolist(), np.bincount(local)[local].tolist()))
-            assert (p_prime, rows.tolist(), sides) == sylow_normals_by_normalizers(lat, top), (spec, p)
+        for p, lam in prime_factorization(group.order).items():
+            for top_row in range(len(lat.subs))[lat.of_order(p**lam)]:
+                p_prime, rows, local = counting._sylow_normals(lat, top_row)
+                sides = list(zip(lat.class_size[rows].tolist(), np.bincount(local)[local].tolist()))
+                expected = sylow_normals_by_normalizers(lat, lat.subs[top_row])
+                assert (p_prime, rows.tolist(), sides) == expected, (spec, p, top_row)
 
 
 def test_sylow_single_class():
@@ -518,6 +528,55 @@ def test_broken_towers_fail_s3i_on_both_sides_of_the_lattice_cap(monkeypatch, sp
             rep = sylow_chain_check(group, p)
             assert not rep.passed, (spec, p, [s.size for s in broken])
             assert rep.params == {"p": p, "lambda": len(chain)} and rep.counted == len(chain)
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "alt:5", "dihedral:12", "prod(sym:3,cyclic:2)"])
+def test_a_broken_tower_fails_s3i_alone(monkeypatch, spec):
+    """S5.7 and S5.III take their Sylow subgroup from the lattice, so a broken tower shows in S3.I only.
+
+    Each tower has its top dropped or its terms reversed; every S5.7 and
+    S5.III report stays equal to the one from the unbroken tower.
+    """
+    group = build(spec)
+    selected = frozenset({"S3.I", "S5.7", "S5.III"})
+    sound = theorem_suite(group, selected=selected)
+    assert all(r.passed for r in sound)
+    real = {p: sylow_chain(group, p) for p in prime_factorization(group.order)}
+    for p, tower in real.items():
+        chain = tower.chain
+        for broken in {chain[:-1], chain[::-1]} - {chain}:
+            monkeypatch.setattr(counting, "sylow_chain", lambda g, q: dataclasses.replace(
+                real[q], chain=broken if q == p else real[q].chain))
+            reports = theorem_suite(group, selected=selected)
+            assert [r.passed for r in reports if r.theorem_id == "S3.I"] == [q != p for q in real], (spec, p)
+            assert [r for r in reports if r.theorem_id != "S3.I"] == [r for r in sound if r.theorem_id != "S3.I"]
+
+
+random_generators = st.integers(min_value=3, max_value=7).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(random_generators)
+def test_random_permutation_groups_pass_every_theorem(images):
+    """Every check is a theorem, so each report passes on any group; the lattice obeys Brown's congruence.
+
+    The groups are generated by 1-3 random permutations of degree 3-7,
+    built at construction cap 512. Their element numbering reaches Sylow
+    subgroups that the catalog does not, such as a first Sylow row that
+    is not the tower's top.
+    """
+    try:
+        group = group_from_generators([Permutation(p) for p in images], cap=512)
+    except ClosureExceedsCap:
+        assume(False)
+    reports = theorem_suite(group)
+    assert reports and [r.text_line() for r in reports if not r.passed] == []
+    if group.order <= 64:
+        lat = subgroups.lattice(group)
+        for p, lam in prime_factorization(group.order).items():
+            assert reduced_euler_characteristic_of_p_subgroups(lat, p) % p**lam == 0, (images, p)
 
 
 @pytest.mark.parametrize("spec", ["elab:2^9", "dihedral:512"])

