@@ -53,14 +53,10 @@ from .subgroups import (
     centralizer,
     closure_of,
     conjugacy_classes,
-    conjugate_subgroup,
     cyclic_subgroup,
-    generated_subgroup,
-    intersect,
     is_characteristic,
     is_cyclic,
     is_normal,
-    join,
     lattice,
     normalizer,
     quotient,
@@ -77,7 +73,6 @@ from .sylow import (
     central_element_of_order_p,
     chief_series,
     coprime_decomposition,
-    p_part_decomposition,
     sylow_chain,
 )
 

@@ -19,21 +19,16 @@ import sys
 
 import numpy as np
 
-from .catalog import build, catalog_specs, parse_spec
+from .catalog import build, catalog_specs
 from .config import Caps, caps_from_env
 from .counting import _members_str, select_checks, theorem_suite
 from .errors import SylowLabError
-from .groups import FiniteGroup
 from .subgroups import center, conjugacy_classes, is_cyclic, lattice
 from .sylow import coprime_decomposition, sylow_chain
 
 
-def _load_group(text: str, caps: Caps) -> FiniteGroup:
-    return build(parse_spec(text), cap=caps.construction)
-
-
 def _cmd_info(args, caps: Caps) -> int:
-    group = _load_group(args.group, caps)
+    group = build(args.group, cap=caps.construction)
     orders, counts = np.unique(group.elem_order, return_counts=True)
     histogram = " ".join(f"{int(o)}:{int(c)}" for o, c in zip(orders, counts))
     print(f"group: {group.label}")
@@ -52,7 +47,7 @@ def _cmd_info(args, caps: Caps) -> int:
 def _cmd_subgroups(args, caps: Caps) -> int:
     if args.order is not None and args.order < 1:
         raise ValueError(f"--order needs a positive order, got {args.order}")
-    group = _load_group(args.group, caps)
+    group = build(args.group, cap=caps.construction)
     lat = lattice(group, caps.subgroups)
     for sub, normal, norm_order in zip(lat.subs, lat.normal, lat.normalizer_order.tolist()):
         if args.order is not None and sub.size != args.order:
@@ -67,7 +62,7 @@ def _cmd_subgroups(args, caps: Caps) -> int:
 
 
 def _cmd_classes(args, caps: Caps) -> int:
-    group = _load_group(args.group, caps)
+    group = build(args.group, cap=caps.construction)
     partition = conjugacy_classes(group)
     print(f"classes: {len(partition.representatives)}")
     for c, members in enumerate(partition.classes()):
@@ -80,7 +75,7 @@ def _cmd_classes(args, caps: Caps) -> int:
 
 
 def _cmd_sylow(args, caps: Caps) -> int:
-    group = _load_group(args.group, caps)
+    group = build(args.group, cap=caps.construction)
     chain = sylow_chain(group, args.prime)
     print(f"prime: {chain.prime}")
     print("chain orders: " + ",".join(str(s.size) for s in chain.chain))
@@ -90,7 +85,7 @@ def _cmd_sylow(args, caps: Caps) -> int:
 
 
 def _cmd_decompose(args, caps: Caps) -> int:
-    group = _load_group(args.group, caps)
+    group = build(args.group, cap=caps.construction)
     dec = coprime_decomposition(group, args.element, args.a, args.b)
     print(f"element: {args.element} ({group.name_of(args.element)})")
     print(f"alpha={dec.alpha} beta={dec.beta}")

@@ -602,7 +602,7 @@ def sylow_chain_check(group: FiniteGroup, p: int, caps: Caps = DEFAULT_CAPS) -> 
     lam = valuation(group.order, p)
     steps = list(zip(chain.chain, chain.chain[1:]))
     ok_orders = [s.size for s in chain.chain] == [p**k for k in range(1, lam + 1)]
-    passed = (ok_orders and all((a.mask & ~b.mask) == 0 for a, b in steps)
+    passed = (ok_orders and all(b.contains_subgroup(a) for a, b in steps)
               and all(_is_normal_of_prime_index(a, b) for a, b in steps))
     lattice_note = "lattice cross-check skipped (cap)"
     if group.order <= caps.subgroups:

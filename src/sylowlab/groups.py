@@ -2,8 +2,8 @@
 
 A group of order h is an h x h numpy table plus derived arrays (inverse,
 element orders, and the power table powers[k, x] = x^k for k up to the
-largest element order). Element 0 is always the identity. Permutation
-composition reads left to right: compose(a, b) means "apply a, then b".
+largest element order). Element 0 is always the identity. A product of
+permutation generators reads left to right: a b means "apply a, then b".
 Conjugation is t^-1 x t throughout.
 """
 
@@ -41,25 +41,6 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Apply self, then other."""
-        if other.degree != self.degree:
-            raise InvalidPermutation("cannot compose permutations of different degree")
-        return Permutation(other.images[v] for v in self.images)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(inv)
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles on 0-based points, each starting at its smallest point."""
@@ -101,10 +82,9 @@ class FiniteGroup:
     Construct through group_from_table, group_from_generators or
     catalog.build; the constructor itself trusts the table to be
     associative and only derives inverses, the power table and element
-    orders. element_names and perms may each be given as a function that
-    makes them; it runs on the first read of the attribute, and must not
-    refer to the group it builds, so that the group is freed with its
-    last reference.
+    orders. element_names may be given as a function that makes them; it
+    runs on the first read of the attribute, and must not refer to the
+    group it builds, so that the group is freed with its last reference.
     """
 
     def __init__(
@@ -113,7 +93,6 @@ class FiniteGroup:
         *,
         label: str | None = None,
         element_names: Sequence[str] | Callable[[], Sequence[str]] | None = None,
-        perms: Sequence[Permutation] | Callable[[], Sequence[Permutation]] | None = None,
     ):
         table = np.ascontiguousarray(table, dtype=np.int32)
         h = table.shape[0]
@@ -121,11 +100,10 @@ class FiniteGroup:
             raise ValueError(f"table must be square, got shape {table.shape}")
         self.order: int = h
         self.table = table
-        self.identity: ElementIndex = 0
         self.inverse = _inverse(table)
         self.powers, self.elem_order = _power_table(table)
         self.label = label if label is not None else f"group{h}"
-        self._makers = {"element_names": element_names, "perms": perms}
+        self._names = element_names
         self.table.flags.writeable = False
         self.inverse.flags.writeable = False
         self.powers.flags.writeable = False
@@ -134,21 +112,10 @@ class FiniteGroup:
 
     @cached_property
     def element_names(self) -> tuple[str, ...] | None:
-        """Each element's name, or None; made on first read."""
-        return _made(self._makers.pop("element_names"))
-
-    @cached_property
-    def perms(self) -> tuple[Permutation, ...] | None:
-        """Each element as a Permutation, for groups built from generators, else None; made on first read."""
-        return _made(self._makers.pop("perms"))
-
-    # -- element arithmetic --
-
-    def mul(self, a: ElementIndex, b: ElementIndex) -> ElementIndex:
-        return int(self.table[a, b])
-
-    def inv(self, a: ElementIndex) -> ElementIndex:
-        return int(self.inverse[a])
+        """Each element's name, or None; made on first read, which drops the function that made them."""
+        names = self.__dict__.pop("_names")
+        names = names() if callable(names) else names
+        return None if names is None else tuple(names)
 
     def name_of(self, x: ElementIndex) -> str:
         if self.element_names is not None:
@@ -183,12 +150,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
-
-
-def _made(source) -> tuple | None:
-    """A lazily made attribute's value: source, or what the function source makes, as a tuple."""
-    value = source() if callable(source) else source
-    return None if value is None else tuple(value)
 
 
 def _inverse(table: np.ndarray) -> np.ndarray:
@@ -287,8 +248,7 @@ def group_from_generators(
         if g.degree != degree:
             raise InvalidPermutation("generators must share one degree")
     if not gens or degree == 0:
-        return FiniteGroup(np.zeros((1, 1), dtype=np.int32), label=label,
-                           element_names=["e"], perms=[Permutation.identity(degree)])
+        return FiniteGroup(np.zeros((1, 1), dtype=np.int32), label=label, element_names=["e"])
 
     n = len(gens)
     images = np.array([g.images for g in gens], dtype=np.min_scalar_type(degree - 1))
@@ -322,8 +282,7 @@ def group_from_generators(
         table[:, hi:hi + source.size] = right_arr[table[:, lo + a], k]  # x (a g) = (x a) g
         lo = hi
     elems = np.concatenate(levels)
-    return FiniteGroup(table, label=label, perms=lambda: [Permutation(row) for row in elems.tolist()],
-                       element_names=lambda: [Permutation(row).cycle_string() for row in elems.tolist()])
+    return FiniteGroup(table, label=label, element_names=lambda: [Permutation(row).cycle_string() for row in elems.tolist()])
 
 
 def _check_element(group: FiniteGroup, x: ElementIndex) -> None:

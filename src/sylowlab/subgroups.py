@@ -207,11 +207,6 @@ def whole_group(group: FiniteGroup) -> SubgroupSet:
     return SubgroupSet._of_vector(group, np.ones(group.order, dtype=bool))
 
 
-def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> SubgroupSet:
-    """Subgroup generated by the given element indices; ValueError on one out of range."""
-    return closure_of(ComplexSet(group, gens))
-
-
 def cyclic_subgroup(group: FiniteGroup, x: ElementIndex) -> SubgroupSet:
     """The powers of one element; ValueError on an index out of range."""
     _check_element(group, x)
@@ -457,25 +452,6 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
         representatives=tuple(np.flatnonzero(first).tolist()),
         class_sizes=tuple(np.bincount(class_of).tolist()),
     )
-
-
-def intersect(a: SubgroupSet, b: SubgroupSet) -> SubgroupSet:
-    """Set intersection, automatically a subgroup."""
-    _require_same_parent(a, b)
-    h = a.parent.order
-    return SubgroupSet._of_vector(a.parent, _vector(a._arr, h) & _vector(b._arr, h))
-
-
-def join(a: SubgroupSet, b: SubgroupSet) -> SubgroupSet:
-    """Subgroup generated by the union."""
-    _require_same_parent(a, b)
-    return SubgroupSet._of_vector(a.parent, _extend_subgroup(a.parent, a._arr, b._arr))
-
-
-def conjugate_subgroup(a: SubgroupSet, t: ElementIndex) -> SubgroupSet:
-    """t^-1 A t; ValueError on an index out of range."""
-    _check_element(a.parent, t)
-    return SubgroupSet._of_vector(a.parent, _vector(conjugates(a.parent, [t], a._arr)[0], a.parent.order))
 
 
 @dataclass(frozen=True)

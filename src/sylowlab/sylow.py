@@ -159,14 +159,3 @@ def coprime_decomposition(group: FiniteGroup, c: ElementIndex, a: int, b: int) -
     if group.table[a_part, b_part] != c or group.table[a_part, b_part] != group.table[b_part, a_part]:
         raise RuntimeError("decomposition arithmetic broke; engine invariant violated")
     return CoprimeDecomposition(a_part=a_part, b_part=b_part, a=a, b=b, alpha=alpha, beta=beta)
-
-
-def p_part_decomposition(group: FiniteGroup, x: ElementIndex, p: int) -> CoprimeDecomposition:
-    """Split x into its p-part and its part of order prime to p; a p above the group order is refused."""
-    if p > group.order:
-        raise PrimeDoesNotDivideOrder(f"{p} does not divide {group.order}")
-    _require_prime(group, p)
-    _check_element(group, x)
-    m = int(group.elem_order[x])
-    a = p ** valuation(m, p)
-    return coprime_decomposition(group, x, a, m // a)

@@ -105,7 +105,7 @@ def contains_by_member_product(subs, order: int) -> np.ndarray:
 
 
 def power_sequence_by_sets(group, complex_) -> tuple[int, int, frozenset[int]]:
-    """(r, s, the group among the powers) for R, R^2, R^3, ..., by frozensets and group.mul.
+    """(r, s, the group among the powers) for R, R^2, R^3, ..., by frozensets and group.table.
 
     r and s are least with R^(r+s) = R^r. The powers from R^r on repeat with
     period s, and the one of them that is a group is R^t, t the multiple of s
@@ -113,7 +113,7 @@ def power_sequence_by_sets(group, complex_) -> tuple[int, int, frozenset[int]]:
     """
     base = frozenset(int(x) for x in complex_)
     powers = [base]
-    while (nxt := frozenset(group.mul(a, b) for a in powers[-1] for b in base)) not in powers:
+    while (nxt := frozenset(int(group.table[a, b]) for a in powers[-1] for b in base)) not in powers:
         powers.append(nxt)
     r = powers.index(nxt) + 1
     s = len(powers) + 1 - r

@@ -30,9 +30,10 @@ from sylowlab.groups import element_order
 from sylowlab.numtheory import divisors, prime_factorization, prime_power_base, valuation
 from sylowlab.sylow import central_element_of_order_p, chief_series, coprime_decomposition
 from sylowlab.subgroups import (
+    ComplexSet,
     all_subgroups,
     center,
-    generated_subgroup,
+    closure_of,
     is_cyclic,
     is_normal,
     subgroups_of_order,
@@ -214,7 +215,7 @@ def test_criterion_08_kind_classification_and_fusion(catalog60):
     q8 = build("q8")
     spot_q8 = count_normal_within(q8, subgroups_of_order(q8, 4)[0], 2, 1).counted == 1
     d8 = build("dihedral:8")
-    klein = generated_subgroup(d8, [2, 4])
+    klein = closure_of(ComplexSet(d8, [2, 4]))
     spot_d8 = count_normal_within(d8, klein, 2, 1).counted == 1
     e9 = build("elab:3^2")
     spot_e9 = count_normal_within(e9, whole_group(e9), 3, 1).counted == 4

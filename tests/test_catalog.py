@@ -183,7 +183,7 @@ def test_dihedral_structure():
 
 def test_dihedral_satisfies_the_defining_relations():
     from sylowlab.groups import conjugate, element_order
-    from sylowlab.subgroups import generated_subgroup
+    from sylowlab.subgroups import ComplexSet, closure_of
 
     for order in (4, 6, 8, 14, 24):
         n = order // 2
@@ -192,7 +192,7 @@ def test_dihedral_satisfies_the_defining_relations():
         assert element_order(group, r) == n or n == 1
         assert element_order(group, s) == 2
         assert conjugate(group, r, s) == group.inverse[r]
-        assert generated_subgroup(group, [r, s]).size == order
+        assert closure_of(ComplexSet(group, [r, s])).size == order
 
 
 def test_q8_structure():

@@ -1,16 +1,21 @@
 """Command-line behavior: outputs, exit codes, caps env, determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sylowlab import catalog, cli
 from sylowlab.catalog import MAX_PROD_DEPTH, build
@@ -610,3 +615,98 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+# SYLOWLAB_CAPS values: three or 0-5 fields, each blank, zero, negative, huge, in range or not an integer.
+cap_fields = st.one_of(
+    st.just(""),
+    st.integers(1, 600).map(str),
+    st.sampled_from([" ", "0", "-1", "-600", str(2**70), "x", "1.5", "1e3", "+7", "0x10"]),
+)
+caps_values = st.one_of(
+    st.lists(cap_fields, min_size=3, max_size=3).map(",".join),
+    st.lists(cap_fields, max_size=5).map(",".join),
+)
+
+# A loop of order 5 (a Latin square with identity 0) that is no group: 1 * 1 = 0, so 1 would have order 2.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@st.composite
+def table_texts(draw):
+    """Small table:@ file contents: group tables and near-misses of them, with comments and blank lines."""
+    h = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["cyclic", "loop5", "rows", "bad-identity", "out-of-range", "ragged", "token", "empty"]))
+    rows = [[(i + j) % h for j in range(h)] for i in range(h)]
+    if kind == "loop5":
+        rows = [row[:] for row in LOOP5]
+    elif kind == "rows":  # row i a permutation starting with i: the identity row and column hold, columns may repeat
+        rows = [[i] + draw(st.permutations([x for x in range(h) if x != i])) for i in range(h)]
+    elif kind == "bad-identity":
+        rows[0] = draw(st.permutations(range(h)))
+    elif kind == "out-of-range":  # off the identity row and column where h > 1, past the identity test
+        body = st.integers(min(1, h - 1), h - 1)
+        rows[draw(body)][draw(body)] = draw(st.sampled_from([h, h + 1, -1, 2**40]))
+    elif kind == "ragged":
+        row = draw(st.integers(0, h - 1))
+        rows[row] = rows[row][:-1] if draw(st.booleans()) else rows[row] + [0]
+        if draw(st.booleans()):
+            rows = rows[:-1] if len(rows) > 1 else rows + [[0]]
+    elif kind == "token":
+        rows[draw(st.integers(0, h - 1))][-1] = draw(st.sampled_from(["x", "1.5", "--", "0,1"]))
+    elif kind == "empty":
+        rows = []
+    lines = [" ".join(map(str, row)) for row in rows]
+    comments = draw(st.lists(st.sampled_from(["", "# a comment", "   ", "#"]), max_size=2))
+    at = draw(st.integers(0, len(lines)))
+    lines[at:at] = comments
+    if lines and draw(st.booleans()):
+        lines[-1] += " # trailing"
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+
+
+def six_commands(spec, prime, element, parts):
+    a, b = parts
+    return [["info", spec, "--elements"], ["subgroups", spec], ["classes", spec], ["sylow", spec, "--prime", str(prime)],
+            ["decompose", spec, "--element", str(element), "--a", str(a), "--b", str(b)], ["verify", spec]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(caps_values, table_texts(), st.sampled_from([2, 3, 4, 5, 7]), st.integers(-1, 6),
+       st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 3), (3, 2), (2, 2)]))
+def test_every_command_survives_any_caps_value_and_small_table_file(caps, text, prime, element, parts):
+    """Over SYLOWLAB_CAPS strings and table:@ files of order at most 6, each command gives a result or one error line.
+
+    Each file is read with the variable unset, then with the drawn value.
+    The exit code is 0, 1 or 2, never 3 (an engine fault), and 1 only with
+    a FAIL report on stdout; stderr is empty or one line starting with
+    "error:"; each call returns within two seconds.
+    """
+    saved = os.environ.get(ENV_CAPS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.txt"
+        path.write_text(text)
+        try:
+            for value in (None, caps):
+                if value is None:
+                    os.environ.pop(ENV_CAPS, None)
+                else:
+                    os.environ[ENV_CAPS] = value
+                for argv in six_commands(f"table:@{path}", prime, element, parts):
+                    out, err = io.StringIO(), io.StringIO()
+                    start = time.perf_counter()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(argv)
+                    elapsed = time.perf_counter() - start
+                    out, err = out.getvalue(), err.getvalue()
+                    case = (value, text, argv[0], code, err)
+                    assert code in (0, 1, 2), case
+                    assert code != 1 or any(line.startswith("FAIL ") for line in out.splitlines()), case
+                    assert "Traceback" not in err and len(err.splitlines()) <= 1, case
+                    assert err == "" or err.startswith("error:"), case
+                    assert elapsed < 2.0, case
+        finally:
+            if saved is None:
+                os.environ.pop(ENV_CAPS, None)
+            else:
+                os.environ[ENV_CAPS] = saved

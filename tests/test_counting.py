@@ -43,26 +43,26 @@ from sylowlab.errors import (
     PrimeDoesNotDivideOrder,
     PrimePowerDoesNotDivideOrder,
 )
-from sylowlab.groups import FiniteGroup, Permutation, conjugates, group_from_generators, group_from_table
+from sylowlab.groups import FiniteGroup, Permutation, conjugates, group_from_generators
 from sylowlab.numtheory import divisors, prime_factorization, valuation
 from sylowlab.subgroups import (
     ComplexSet,
+    SubgroupSet,
     all_subgroups,
     as_group,
     closure_of,
-    conjugate_subgroup,
-    generated_subgroup,
     is_normal,
     normalizer,
     subgroups_of_order,
     trivial_subgroup,
     whole_group,
 )
-from sylowlab.sylow import p_part_decomposition, sylow_chain
+from sylowlab.sylow import sylow_chain
 
 from oracles import (
     is_normal_within_by_scan,
     reduced_euler_characteristic_of_p_subgroups,
+    subgroups_by_layered_extension,
     sylow_normals_by_normalizers,
 )
 from test_subgroups import EXTRA_PGROUPS, PSL27
@@ -138,7 +138,7 @@ def test_solution_subgroup_skips_characteristic_above_cap():
 
 def test_power_stabilization_on_subgroup_and_identity():
     s3 = build("sym:3")
-    sub = generated_subgroup(s3, [1])
+    sub = closure_of(ComplexSet(s3, [1]))
     r, s, stab = complex_power_stabilization(ComplexSet(s3, sub.members))
     assert (r, s) == (1, 1) and stab == sub
     r, s, stab = complex_power_stabilization(ComplexSet(s3, [0]))
@@ -253,7 +253,7 @@ def test_count_containing():
     s4 = build("sym:4")
     reduced = count_containing(s4, trivial_subgroup(s4), 2, 2)
     assert reduced.counted == count_p_subgroups(s4, 2, 2).counted
-    double = generated_subgroup(s4, [s4.element_names.index("(1 2)(3 4)")])
+    double = closure_of(ComplexSet(s4, [s4.element_names.index("(1 2)(3 4)")]))
     rep = count_containing(s4, double, 2, 2)
     assert rep.counted == 3 and rep.passed
     same = count_containing(s4, double, 2, 1)
@@ -355,7 +355,7 @@ def test_count_normal_within_spot_values():
     rep = count_normal_within(q8, cyclic4, 2, 1)
     assert rep.counted == 1 and rep.passed
     d8 = build("dihedral:8")
-    klein = generated_subgroup(d8, [2, 4])
+    klein = closure_of(ComplexSet(d8, [2, 4]))
     rep = count_normal_within(d8, klein, 2, 1)
     assert rep.counted == 1 and rep.passed
     e9 = build("elab:3^2")
@@ -368,8 +368,7 @@ def test_prime_arguments_above_the_order_are_refused_before_trial_division():
     big = 2**61 - 1
     s4, d8 = build("sym:4"), build("dihedral:8")
     start = time.perf_counter()
-    for refuse in (lambda: verify_order_p_form(s4, big), lambda: sylow_chain(s4, big),
-                   lambda: p_part_decomposition(s4, 1, big)):
+    for refuse in (lambda: verify_order_p_form(s4, big), lambda: sylow_chain(s4, big)):
         with pytest.raises(PrimeDoesNotDivideOrder):
             refuse()
     with pytest.raises(PrimePowerDoesNotDivideOrder):
@@ -382,13 +381,13 @@ def test_prime_arguments_above_the_order_are_refused_before_trial_division():
 def test_count_normal_within_errors():
     d8 = build("dihedral:8")
     with pytest.raises(NotNormal):
-        count_normal_within(d8, generated_subgroup(d8, [4]), 2, 1)
+        count_normal_within(d8, closure_of(ComplexSet(d8, [4])), 2, 1)
     s4 = build("sym:4")
     v4 = next(s for s in subgroups_of_order(s4, 4) if is_normal(s))
     with pytest.raises(NotAPGroup):
         count_normal_within(s4, v4, 2, 1)
     with pytest.raises(PrimePowerDoesNotDivideOrder):
-        count_normal_within(d8, generated_subgroup(d8, [2]), 2, 2)
+        count_normal_within(d8, closure_of(ComplexSet(d8, [2])), 2, 2)
 
 
 def test_congruence7_sym4():
@@ -565,7 +564,9 @@ def test_random_permutation_groups_pass_every_theorem(images):
     The groups are generated by 1-3 random permutations of degree 3-7,
     built at construction cap 512. Their element numbering reaches Sylow
     subgroups that the catalog does not, such as a first Sylow row that
-    is not the tower's top.
+    is not the tower's top. Up to order 64 the lattice is every subgroup
+    the layered-extension oracle finds, and the reports, less what names
+    an element index, do not change when the elements are renumbered.
     """
     try:
         group = group_from_generators([Permutation(p) for p in images], cap=512)
@@ -575,8 +576,11 @@ def test_random_permutation_groups_pass_every_theorem(images):
     assert reports and [r.text_line() for r in reports if not r.passed] == []
     if group.order <= 64:
         lat = subgroups.lattice(group)
+        assert [s.members for s in lat.subs] == subgroups_by_layered_extension(group), images
         for p, lam in prime_factorization(group.order).items():
             assert reduced_euler_characteristic_of_p_subgroups(lat, p) % p**lam == 0, (images, p)
+    rng = np.random.default_rng(len(reports))
+    assert report_multiset(theorem_suite(relabelled(group, rng))) == report_multiset(reports), images
 
 
 @pytest.mark.parametrize("spec", ["elab:2^9", "dihedral:512"])
@@ -606,7 +610,7 @@ def test_ambient_characteristic_form():
             sols = [int(emb[x]) for x in range(inner.order) if n % inner.elem_order[x] == 0]
             gen = closure_of(ComplexSet(s4, sols))
             for t in normalizer(sub).members:
-                assert conjugate_subgroup(gen, t) == gen
+                assert SubgroupSet(s4, conjugates(s4, [t], gen._arr)[0]) == gen
 
 
 def test_order_p_count_equals_subgroup_count_times_p_minus_1():
@@ -708,19 +712,31 @@ def test_sylow_local_checks_read_the_lattice(monkeypatch, selection):
 
 
 def test_lattice_free_selection_skips_lattice_and_automorphisms():
+    """Only the lattice checks and S3.I's cross-check enumerate subgroups; S3.I's only under the subgroup cap."""
     group = build("sym:4")
     reports = theorem_suite(group, selected=select_checks("intro.gcd,intro.pcount,S2.IV"))
     assert {r.theorem_id for r in reports} == {"intro.gcd", "intro.pcount", "S2.IV"}
     assert "subgroups" not in group._cache and "automorphisms" not in group._cache
+    theorem_suite(group, selected=select_checks("intro.gcd,intro.pcount,S2.III,S2.power,S2.IV"))
+    assert "subgroups" not in group._cache and "automorphisms" in group._cache
     theorem_suite(group, selected=select_checks("S4.I"))
     assert "subgroups" in group._cache
+    tower_only = build("sym:4")
+    assert all(r.passed for r in theorem_suite(tower_only, selected=select_checks("S3.I")))
+    assert set(tower_only._cache) == {"subgroups"}
+    above_cap = build("elab:2^7")
+    assert all(r.passed for r in theorem_suite(above_cap, selected=select_checks("S3.I")))
+    assert above_cap._cache == {}
 
 
 def relabelled(group, rng):
-    """The same group with its non-identity elements renumbered at random, rebuilt from its table."""
+    """The same group with its non-identity elements renumbered at random, rebuilt from its table.
+
+    A renumbered group table is associative, so the table is not checked again.
+    """
     perm = np.concatenate(([0], 1 + rng.permutation(group.order - 1)))  # old index x becomes perm[x]
     old = np.argsort(perm)  # the old index of each new one
-    return group_from_table(perm[group.table[np.ix_(old, old)]], label=group.label)
+    return FiniteGroup(perm[group.table[np.ix_(old, old)]], label=group.label)
 
 
 def report_multiset(reports):

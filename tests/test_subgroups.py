@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sylowlab.catalog import build, catalog_specs, standard_catalog
 from sylowlab.counting import _solutions, complex_power_stabilization
 from sylowlab.errors import ClosureExceedsCap, EnumerationCapExceeded, NotNormal, ParentMismatch
-from sylowlab.groups import Permutation, conjugate, element_order, group_from_generators, power
+from sylowlab.groups import Permutation, conjugate, conjugates, element_order, group_from_generators, power
 from sylowlab.numtheory import divisors, is_prime, prime_factorization, valuation
 from sylowlab.subgroups import (
     MAX_LATTICE_SIZE,
@@ -23,14 +23,10 @@ from sylowlab.subgroups import (
     centralizer,
     closure_of,
     conjugacy_classes,
-    conjugate_subgroup,
     cyclic_subgroup,
-    generated_subgroup,
-    intersect,
     is_characteristic,
     is_cyclic,
     is_normal,
-    join,
     lattice,
     normalizer,
     quotient,
@@ -42,7 +38,7 @@ from sylowlab.subgroups import (
     whole_group,
 )
 from sylowlab import subgroups as subgroups_module
-from sylowlab.sylow import coprime_decomposition, p_part_decomposition, sylow_chain
+from sylowlab.sylow import coprime_decomposition, sylow_chain
 
 from oracles import (
     automorphisms_by_backtracking,
@@ -130,7 +126,7 @@ def test_generated_subgroup_rejects_out_of_range_indices():
     s3 = build("sym:3")
     for bad in ([-1], [6], [1, 2**40]):
         with pytest.raises(ValueError):
-            generated_subgroup(s3, bad)
+            closure_of(ComplexSet(s3, bad))
 
 
 @pytest.mark.parametrize("members", [
@@ -139,7 +135,7 @@ def test_generated_subgroup_rejects_out_of_range_indices():
 def test_element_sets_refuse_members_that_are_not_integers(members):
     """No float is truncated to an index, no string parsed as one, and no boolean mask read as the indices it marks."""
     c6 = build("cyclic:6")
-    for make in (ComplexSet, SubgroupSet, generated_subgroup):
+    for make in (ComplexSet, SubgroupSet, lambda group, gens: closure_of(ComplexSet(group, gens))):
         with pytest.raises(ValueError, match="^members must be integer element indices$"):
             make(c6, members)
 
@@ -166,11 +162,9 @@ def test_element_sets_take_integers_of_any_kind(members, expected):
     lambda group, x: conjugate(group, 0, x),
     lambda group, x: cyclic_subgroup(group, x),
     lambda group, x: centralizer(group, x),
-    lambda group, x: conjugate_subgroup(whole_group(group), x),
     lambda group, x: coprime_decomposition(group, x, 2, 3),
-    lambda group, x: p_part_decomposition(group, x, 2),
 ], ids=["element_order", "power", "conjugate_x", "conjugate_t", "cyclic_subgroup", "centralizer",
-        "conjugate_subgroup", "coprime_decomposition", "p_part_decomposition"])
+        "coprime_decomposition"])
 def test_element_indices_must_be_integers(call, x):
     """A float, a string or a bool never reaches a numpy index, where it would raise IndexError or be read as a mask."""
     with pytest.raises(ValueError, match="is not an integer$"):
@@ -218,7 +212,7 @@ def test_closure_matches_oracles_on_solution_sets(spec):
 
 def test_closure_is_idempotent():
     s4 = build("sym:4")
-    sub = generated_subgroup(s4, by_names(s4, "(1 2 3)"))
+    sub = closure_of(ComplexSet(s4, by_names(s4, "(1 2 3)")))
     again = closure_of(ComplexSet(s4, sub.members))
     assert again == sub
 
@@ -258,9 +252,9 @@ def test_all_subgroups_sorted_and_valid(lattice_groups):
     """Every route to a subgroup keeps the one representation, sorted lattices included.
 
     The routes: the lattice, subgroup_orbit's conjugates, and the vector
-    routes closure_of, sylow_chain, centralizer, cyclic_subgroup,
-    conjugate_subgroup and subgroups_within. A wrong bit order or an
-    unsorted read-back on any of them fails here.
+    routes closure_of, sylow_chain, centralizer, cyclic_subgroup and
+    subgroups_within. A wrong bit order or an unsorted read-back on any
+    of them fails here.
     """
     for group in [build("sym:4")] + lattice_groups:
         h, subs = group.order, all_subgroups(group)
@@ -270,7 +264,6 @@ def test_all_subgroups_sorted_and_valid(lattice_groups):
         for s in subs:
             assert 0 in s and h % s.size == 0
             routes += subgroup_orbit(group, np.arange(h), s._arr)[0]
-            routes.append(conjugate_subgroup(s, h - 1))
         routes += [closure_of(_solutions(group, n)) for n in divisors(h)]
         routes += [s for p in prime_factorization(h) for s in sylow_chain(group, p).chain]
         routes += [f(group, x) for x in range(h) for f in (centralizer, cyclic_subgroup)]
@@ -416,8 +409,8 @@ def test_action_is_conjugation_of_the_rows():
         lat = lattice(group, cap)
         acting = range(0, group.order, 1 if group.order <= 120 else 7)
         for i, sub in enumerate(lat.subs):
-            conjugates = [lat.index[conjugate_subgroup(sub, t).mask] for t in acting]
-            assert lat.action[i, acting].tolist() == conjugates, (spec, i)
+            rows = [lat.index[_packed(_vector(row, group.order))] for row in conjugates(group, acting, sub._arr)]
+            assert lat.action[i, acting].tolist() == rows, (spec, i)
             assert np.array_equal(np.flatnonzero(lat.action[i] == i), normalizer(sub)._arr), (spec, i)
 
 
@@ -523,7 +516,7 @@ def test_is_normal_examples():
 def test_normalizer_examples():
     s3 = build("sym:3")
     assert normalizer(subgroups_of_order(s3, 3)[0]).size == 6
-    swap = generated_subgroup(s3, by_names(s3, "(1 2)"))
+    swap = closure_of(ComplexSet(s3, by_names(s3, "(1 2)")))
     assert normalizer(swap) == swap
     s4 = build("sym:4")
     sylow3 = subgroups_of_order(s4, 3)[0]
@@ -573,9 +566,8 @@ def test_is_normal_within_matches_the_former_scan():
 
 @pytest.mark.parametrize("x", [-1, 6])
 @pytest.mark.parametrize("call", [
-    lambda group, x: conjugate_subgroup(cyclic_subgroup(group, 3), x),
     lambda group, x: centralizer(group, x),
-], ids=["conjugate_subgroup", "centralizer"])
+], ids=["centralizer"])
 def test_subgroup_constructions_refuse_an_index_out_of_range(call, x):
     """-1 would wrap around to the last element, and h would raise a bare IndexError."""
     with pytest.raises(ValueError, match="out of range for order 6"):
@@ -620,21 +612,6 @@ def test_conjugacy_classes_match_oracle_and_class_equation():
             assert size * centralizer(group, rep).size == group.order
 
 
-def test_intersect_and_join():
-    s4 = build("sym:4")
-    a = subgroups_of_order(s4, 8)[0]
-    b = subgroups_of_order(s4, 8)[1]
-    assert intersect(a, a) == a
-    assert intersect(a, trivial_subgroup(s4)).size == 1
-    assert intersect(a, b).size == 4
-    third, fourth = subgroups_of_order(s4, 3)[:2]
-    assert join(third, trivial_subgroup(s4)) == third
-    assert join(third, third) == third
-    assert join(third, fourth).size == 12
-    with pytest.raises(ParentMismatch):
-        intersect(a, trivial_subgroup(build("sym:3")))
-
-
 def test_quotient_by_trivial_is_identity_relabeling():
     s3 = build("sym:3")
     q = quotient(s3, trivial_subgroup(s3))
@@ -671,17 +648,6 @@ def test_quotient_map_is_surjective_homomorphism():
         assert q.section[c] == members.min()
 
 
-def test_conjugate_subgroup():
-    s3 = build("sym:3")
-    swap = generated_subgroup(s3, by_names(s3, "(1 2)"))
-    rot = by_names(s3, "(1 2 3)")[0]
-    moved = conjugate_subgroup(swap, rot)
-    assert moved == generated_subgroup(s3, by_names(s3, "(2 3)"))
-    assert conjugate_subgroup(swap, 0) == swap
-    for t in normalizer(swap).members:
-        assert conjugate_subgroup(swap, t) == swap
-
-
 def test_subgroup_conjugacy_classes():
     s4 = build("sym:4")
     sylow3 = subgroups_of_order(s4, 3)
@@ -694,6 +660,10 @@ def test_subgroup_conjugacy_classes():
     for orbit in classes:
         for pos in orbit:
             assert len(orbit) * normalizer(twos[pos]).size == s4.order
+    with pytest.raises(ParentMismatch):
+        subgroup_conjugacy_classes(sylow3 + [trivial_subgroup(build("sym:3"))])
+    with pytest.raises(ParentMismatch):
+        subgroup_conjugacy_classes(sylow3, acting=whole_group(build("sym:3")))
 
 
 def test_automorphism_counts():
@@ -776,11 +746,12 @@ def test_random_permutation_groups_match_oracles(images, picks_a, picks_b):
     trivial = np.zeros(1, dtype=np.int32)
     gens_a = np.unique(np.array(picks_a, dtype=np.int32) % group.order)
     gens_b = np.unique(np.array(picks_b, dtype=np.int32) % group.order)
-    a = generated_subgroup(group, gens_a)
-    b = generated_subgroup(group, gens_b)
+    a = closure_of(ComplexSet(group, gens_a))
+    b = closure_of(ComplexSet(group, gens_b))
     assert np.array_equal(a._arr, closure_by_products(group, trivial, gens_a))
     assert np.array_equal(b._arr, closure_by_products(group, trivial, gens_b))
-    assert np.array_equal(join(a, b)._arr, closure_by_products(group, a._arr, b._arr, gen_closed=True))
+    joined = subgroups_module._extend_subgroup(group, a._arr, b._arr)
+    assert np.array_equal(np.flatnonzero(joined), closure_by_products(group, a._arr, b._arr, gen_closed=True))
     assert positions_by_class_id(group) == subgroup_conjugacy_classes(all_subgroups(group))
     assert_record_matches_per_subgroup_routines(group)
     assert_same_record(lattice(group), lattice_by_cyclic_extension(group), group.label)
@@ -816,14 +787,15 @@ def test_complex_powers_match_the_set_oracle(images, picks, with_identity, compl
 def test_index_two_subgroups_sit_on_the_half_order_boundary(spec):
     """|A| = h/2 gives A^2 = A, not the whole group: both shortcuts need more than h/2 elements.
 
-    A is its own closure and join with itself, and its coset G \\ A squares to A.
+    A is its own closure and its own extension by its members, and its coset G \\ A squares to A.
     """
     group = build(spec)
     halves = subgroups_of_order(group, group.order // 2)
     assert halves
     for a in halves:
         assert complex_power_stabilization(ComplexSet(group, a._arr)) == (1, 1, a)
-        assert closure_of(ComplexSet(group, a.members)) == a and join(a, a) == a
+        assert closure_of(ComplexSet(group, a.members)) == a
+        assert np.array_equal(np.flatnonzero(subgroups_module._extend_subgroup(group, a._arr, a._arr)), a._arr)
         assert np.array_equal(np.flatnonzero(subgroups_module._extend_subgroup(group, a._arr, a._arr[1:])), a._arr)
         coset = np.setdiff1d(np.arange(group.order), a._arr)
         r, s, stab = complex_power_stabilization(ComplexSet(group, coset))
@@ -855,7 +827,7 @@ def test_is_characteristic():
     assert is_characteristic(center(d8))
     assert is_characteristic(whole_group(d8))
     klein = build("elab:2^2")
-    assert not is_characteristic(generated_subgroup(klein, [1]))
+    assert not is_characteristic(closure_of(ComplexSet(klein, [1])))
     assert is_characteristic(trivial_subgroup(klein))
 
 

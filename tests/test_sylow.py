@@ -18,9 +18,10 @@ from sylowlab.errors import (
 from sylowlab.groups import element_order
 from sylowlab.numtheory import divisors, prime_factorization, valuation
 from sylowlab.subgroups import (
+    ComplexSet,
     center,
+    closure_of,
     cyclic_subgroup,
-    generated_subgroup,
     is_normal,
     subgroups_of_order,
     whole_group,
@@ -29,7 +30,6 @@ from sylowlab.sylow import (
     central_element_of_order_p,
     chief_series,
     coprime_decomposition,
-    p_part_decomposition,
     sylow_chain,
 )
 
@@ -177,7 +177,7 @@ def test_central_element_in_center_itself():
 
 def test_central_element_dihedral_klein():
     d8 = build("dihedral:8")
-    klein = generated_subgroup(d8, [2, 4])  # r^2 and s
+    klein = closure_of(ComplexSet(d8, [2, 4]))  # r^2 and s
     assert klein.size == 4
     witness = central_element_of_order_p(d8, klein)
     assert d8.element_names[witness] == "r^2"
@@ -187,9 +187,9 @@ def test_central_element_dihedral_klein():
 def test_central_element_errors():
     d8 = build("dihedral:8")
     with pytest.raises(TrivialSubgroup):
-        central_element_of_order_p(d8, generated_subgroup(d8, []))
+        central_element_of_order_p(d8, closure_of(ComplexSet(d8, [])))
     with pytest.raises(NotNormal):
-        central_element_of_order_p(d8, generated_subgroup(d8, [4]))
+        central_element_of_order_p(d8, closure_of(ComplexSet(d8, [4])))
     with pytest.raises(NotAPGroup):
         central_element_of_order_p(build("sym:3"), whole_group(build("sym:3")))
     with pytest.raises(ParentMismatch, match="does not belong to the given group"):
@@ -236,8 +236,6 @@ def test_decompositions_refuse_an_element_out_of_range(x):
     message = f"element index {x} out of range for order 6"
     with pytest.raises(ValueError, match=message):
         coprime_decomposition(c6, x, 2, 3)
-    with pytest.raises(ValueError, match=message):
-        p_part_decomposition(c6, x, 2)
 
 
 def test_decomposition_parts_live_in_the_cyclic_span():
@@ -270,12 +268,3 @@ def test_uniqueness_of_decomposition_cyclic6():
     dec = coprime_decomposition(c6, 1, 2, 3)
     assert pairs == [(dec.a_part, dec.b_part)]
 
-
-def test_p_part_decomposition():
-    c12 = build("cyclic:12")
-    dec = p_part_decomposition(c12, 1, 2)
-    assert (element_order(c12, dec.a_part), element_order(c12, dec.b_part)) == (4, 3)
-    c5 = build("cyclic:5")
-    dec5 = p_part_decomposition(c5, 1, 2)
-    assert (dec5.a_part, dec5.b_part) == (0, 1)
-    assert p_part_decomposition(c5, 0, 3).a_part == 0

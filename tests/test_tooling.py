@@ -1,5 +1,6 @@
-"""Guards for the benchmark tooling that reaches into sylowlab from outside."""
+"""Guards for the benchmark tooling that reaches into sylowlab from outside, and for what the package exports."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -87,3 +88,53 @@ def test_traced_construction_layers_are_reached():
     metrics = tracer.metrics()
     assert metrics["catalog.build_calls"] == 2 and metrics["catalog.build_s"] > 0
     assert metrics["groups.group_from_generators_calls"] == 1 and metrics["groups.group_from_generators_s"] > 0
+
+
+def referenced_names(path):
+    """Every identifier a file reads: names, attribute names and imported names."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    """Each public function, and each public method or property of a public class, in src/sylowlab has a reader outside tests/test_*.py.
+
+    A reader is a name, an attribute or an imported name in the package's
+    modules (not counting __init__.py's re-exports), the demos or
+    tests/oracles.py, or a dotted string target in perfbench/tracer.py.
+    A name that only tests reach is API kept for its own tests. The rule
+    goes by name alone, so a name that another identifier shares passes
+    unseen: it could not catch join, inverse, mul, perms or identity,
+    which str.join, the FiniteGroup.inverse array, an oracle's group.mul
+    and local perms, and the Permutation.identity call for the trivial
+    group read by the same name.
+    """
+    src = ROOT / "src" / "sylowlab"
+    defined = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                members = [node]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                members = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for item in members:
+                if not item.name.startswith("_"):
+                    qualified = item.name if item is node else f"{node.name}.{item.name}"
+                    defined.setdefault(item.name, []).append(f"{path.stem}.{qualified}")
+    readers = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    readers += sorted((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "oracles.py"]
+    reached = set().union(*map(referenced_names, readers))
+    for node in ast.walk(ast.parse((ROOT / "perfbench" / "tracer.py").read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reached.update(node.value.split("."))
+    assert defined
+    assert sorted(where for name, places in defined.items() if name not in reached for where in places) == []
