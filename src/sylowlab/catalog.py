@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CAPS
-from .errors import ClosureExceedsCap, ParseError, ValidationError
+from .errors import ClosureExceedsCap, ParseError
 from .groups import FiniteGroup, Permutation, group_from_generators, group_from_table
 from .numtheory import is_prime
 
@@ -182,7 +182,7 @@ class _Parser:
             self.pos = at
             self.fail({"point >= 1"})
         if value in seen:
-            raise ValidationError(f"point {value} repeated within one generator")
+            raise ValueError(f"point {value} repeated within one generator")
         seen.add(value)
         return value
 
@@ -199,18 +199,18 @@ def _canonical_cycles(raw: list[tuple[int, ...]]) -> tuple:
 def _validated(spec: GroupSpec) -> GroupSpec:
     kind, args = spec.kind, spec.args
     if kind in ("cyclic", "sym", "alt") and args[0] < 1:
-        raise ValidationError(f"{kind} needs a positive parameter, got {args[0]}")
+        raise ValueError(f"{kind} needs a positive parameter, got {args[0]}")
     if kind == "dihedral":
         if args[0] < 2 or args[0] % 2 != 0:
-            raise ValidationError(f"dihedral order must be even and >= 2, got {args[0]}")
+            raise ValueError(f"dihedral order must be even and >= 2, got {args[0]}")
     if kind == "elab":
         p, k = args
         if p >= 2**31:
-            raise ValidationError(f"elab base {p} is 2^31 or more, too large for an int32 table")
+            raise ValueError(f"elab base {p} is 2^31 or more, too large for an int32 table")
         if not is_prime(p):
-            raise ValidationError(f"elab base {p} is not prime")
+            raise ValueError(f"elab base {p} is not prime")
         if k < 1:
-            raise ValidationError(f"elab exponent must be >= 1, got {k}")
+            raise ValueError(f"elab exponent must be >= 1, got {k}")
     return spec
 
 
@@ -262,13 +262,16 @@ def _cyclic_names(n: int) -> list[str]:
 
 
 def _build_dihedral(order: int, label: str) -> FiniteGroup:
+    """Element k n + i is s^k r^i; as r^i s = s r^-i, (s^k r^i)(s^l r^j) = s^(k xor l) r^(j + (1 - 2 l) i).
+
+    The table is filled in place, so no h x h temporary outlives one step.
+    """
     n = order // 2
-    i = np.arange(n, dtype=np.int32)
-    table = np.empty((order, order), dtype=np.int32)
-    table[:n, :n] = (i[:, None] + i[None, :]) % n            # rot * rot
-    table[:n, n:] = n + (i[None, :] - i[:, None]) % n        # rot then refl
-    table[n:, :n] = n + (i[:, None] + i[None, :]) % n        # refl then rot
-    table[n:, n:] = (i[None, :] - i[:, None]) % n            # refl then refl
+    k, i = np.divmod(np.arange(order, dtype=np.int32), n)
+    table = (1 - 2 * k) * i[:, None]  # (1 - 2 l) i, row s^k r^i, column s^l r^j
+    table += i
+    table %= n
+    np.add(table, n, out=table, where=k[:, None] != k)  # k xor l
     return FiniteGroup(table, label=label, element_names=lambda: _dihedral_names(n))
 
 
@@ -294,27 +297,17 @@ def _build_alt(n: int, label: str, cap: int) -> FiniteGroup:
     return group_from_generators(gens, cap=cap, label=label)
 
 
-_Q8_AXES = "1ijk"
-_Q8_MUL = {  # axis products with sign, quaternion rules
-    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-    ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-    ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-    ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-    ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-    ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-}
-
-
 def _build_q8(label: str) -> FiniteGroup:
-    elements = [(sign, axis) for axis in _Q8_AXES for sign in (1, -1)]
-    index = {e: i for i, e in enumerate(elements)}
-    table = np.empty((8, 8), dtype=np.int32)
-    for a, (sa, xa) in enumerate(elements):
-        for b, (sb, xb) in enumerate(elements):
-            sign, axis = _Q8_MUL[(xa, xb)]
-            table[a, b] = index[(sa * sb * sign, axis)]
-    names = [("" if s > 0 else "-") + a for s, a in elements]
-    return FiniteGroup(table, label=label, element_names=names)
+    """Element 2 a + s is (-1)^s times the a-th of 1, i, j, k.
+
+    A product's axis is a xor b; its sign flips for i^2 = j^2 = k^2 = -1
+    (a = b > 0) and for the anticyclic products ji, kj, ik (b - a = 2 mod 3).
+    """
+    a, s = np.divmod(np.arange(8, dtype=np.int32), 2)
+    left = a[:, None]
+    flip = (left > 0) & (a > 0) & ((left == a) | ((a - left) % 3 == 2))
+    table = 2 * (left ^ a) + (s[:, None] ^ s ^ flip)
+    return FiniteGroup(table, label=label, element_names=[sign + axis for axis in "1ijk" for sign in ("", "-")])
 
 
 def _build_elab(p: int, k: int, label: str) -> FiniteGroup:
@@ -391,40 +384,49 @@ def build(spec: GroupSpec | str, cap: int | None = None) -> FiniteGroup:
         return group_from_generators(gens, cap=cap, label=label)
     if kind == "table":
         try:
-            with warnings.catch_warnings():  # an empty file warns; group_from_table rejects it
+            width = _table_width(args[0], cap)  # before numpy reads the file, which is then a rectangle
+            with warnings.catch_warnings():  # numpy warns that max_rows skips blank and comment rows
                 warnings.simplefilter("ignore", UserWarning)
-                width = _first_row_width(args[0], cap)  # before reading the rest of the file
-                raw = np.loadtxt(args[0], dtype=np.int64, max_rows=width + 1)
+                raw = np.loadtxt(args[0], dtype=np.int64, max_rows=width + 1, ndmin=2)
         except OSError as exc:
-            raise ValidationError(f"cannot read table file: {exc}") from exc
-        return group_from_table(np.atleast_2d(raw), cap=cap, label=label)
+            raise ValueError(f"cannot read table file: {exc}") from exc
+        return group_from_table(raw, cap=cap, label=label)
     raise ValueError(f"unknown spec kind {kind!r}")
 
 
-def _first_row_width(path: str, cap: int) -> int:
-    """Number of fields in a table file's first data row (0 for none).
+def _table_width(path: str, cap: int) -> int:
+    """Number of fields in a table file's first data row, once its first width + 1 data rows all have that many.
 
     Fields split as in np.loadtxt: on whitespace, "#" starts a comment, and
-    rows without fields are skipped. The row is read in pieces, and reading
-    stops at the first piece past the cap, which is refused. Reading at
+    rows without fields are skipped. Rows are read in pieces, and reading
+    stops at the first piece past the bound, which is refused: the cap for
+    the first row, the first row's width for the others. A later row that
+    ends short is refused too, as is a file with no data row. Reading at
     most width + 1 rows then shows a table with too many rows.
     """
-    width, joined, comment = 0, False, False  # joined: a field runs on into the next piece
+    width = rows = count = 0  # rows: data rows read; count: fields so far in the current row
+    joined = comment = False  # joined: a field runs on into the next piece
     with open(path) as f:
-        while piece := f.readline(1 << 16):  # at most 64 Ki characters at a time
+        while rows <= width:
+            piece = f.readline(1 << 16)  # at most 64 Ki characters at a time
             if not comment:
                 text, hash_, _ = piece.partition("#")
                 comment = bool(hash_)
-                width += len(text.split()) - (joined and text[:1].strip() != "")
+                count += len(text.split()) - (joined and text[:1].strip() != "")
                 joined = text[-1:].strip() != ""
-            ended = piece.endswith("\n")
-            if width > cap:
-                order = width if ended else f"over {cap}"
-                raise ClosureExceedsCap(f"table order {order} exceeds construction cap {cap}")
+            ended = piece.endswith("\n") or not piece  # the row, or the file, ends here
+            shown = count if ended else f"over {width or cap}"
+            if not rows and count > cap:
+                raise ClosureExceedsCap(f"table order {shown} exceeds construction cap {cap}")
+            if rows and (count > width or ended and 0 < count < width):
+                raise ValueError(f"table row {rows + 1} has {shown} entries, the first row has {width}")
             if ended:
-                if width:
-                    return width
-                comment = joined = False
+                rows, width = rows + (count > 0), width or count
+                if not piece:
+                    break
+                count, joined, comment = 0, False, False
+    if not rows:
+        raise ValueError("table file has no rows")
     return width
 
 

@@ -18,14 +18,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import (
-    NotAPGroup,
-    NotAPSubgroup,
-    NotCoprime,
-    NotNormal,
-    ParentMismatch,
-    PrimePowerDoesNotDivideOrder,
-)
 from .groups import FiniteGroup
 from .numtheory import divisors, prime_factorization, prime_power_base, valuation
 from .subgroups import (
@@ -274,7 +266,7 @@ def verify_coprime_product(group: FiniteGroup, r: int, s: int) -> VerificationRe
     """With exactly r solutions of x^r = e and s of x^s = e, all rs products are distinct solutions of x^(rs) = e."""
     _require_positive(r=r, s=s)
     if gcd(r, s) != 1:
-        raise NotCoprime(f"{r} and {s} are not coprime")
+        raise ValueError(f"{r} and {s} are not coprime")
     h = group.order
     if h % r != 0 or h % s != 0:
         raise ValueError(f"both {r} and {s} must divide the group order {h}")
@@ -312,9 +304,7 @@ def _require_prime_power_divides(group: FiniteGroup, p: int, kappa: int) -> None
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     if valuation(group.order, p) < kappa:
-        raise PrimePowerDoesNotDivideOrder(
-            f"{p}^{kappa} does not divide {group.order}"
-        )
+        raise ValueError(f"{p}^{kappa} does not divide {group.order}")
 
 
 def count_p_subgroups(group: FiniteGroup, p: int, kappa: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
@@ -337,10 +327,10 @@ def count_containing(
 ) -> VerificationReport:
     """The number of order-p^kappa subgroups containing a fixed p-subgroup is 1 mod p."""
     if p_sub.parent is not group:
-        raise ParentMismatch("subgroup does not belong to the given group")
+        raise ValueError("subgroup does not belong to the given group")
     _require_prime_power_divides(group, p, kappa)
     if p_sub.size > 1 and prime_power_base(p_sub.size) != p:
-        raise NotAPSubgroup(f"subgroup order {p_sub.size} is not a power of {p}")
+        raise ValueError(f"subgroup order {p_sub.size} is not a power of {p}")
     theta = valuation(p_sub.size, p)
     if theta > kappa:
         raise ValueError(f"subgroup order {p}^{theta} exceeds target order {p}^{kappa}")
@@ -426,16 +416,14 @@ def count_normal_within(
     """
     _require_prime(pgroup, p)
     if prime_power_base(pgroup.order) != p:
-        raise NotAPGroup(f"ambient order {pgroup.order} is not a power of {p}")
+        raise ValueError(f"ambient order {pgroup.order} is not a power of {p}")
     if normal_sub.parent is not pgroup:
-        raise ParentMismatch("subgroup does not belong to the given group")
+        raise ValueError("subgroup does not belong to the given group")
     lat = lattice(pgroup, caps.subgroups)
     if not lat.normal[lat.index[normal_sub.mask]]:
-        raise NotNormal("the containing subgroup must be normal")
+        raise ValueError("the containing subgroup must be normal")
     if kappa < 1 or normal_sub.size % p**kappa != 0:
-        raise PrimePowerDoesNotDivideOrder(
-            f"{p}^{kappa} does not divide the subgroup order {normal_sub.size}"
-        )
+        raise ValueError(f"{p}^{kappa} does not divide the subgroup order {normal_sub.size}")
     return _normal_within_reports(pgroup, lat, p, [lat.index[normal_sub.mask]], [kappa])[0]
 
 

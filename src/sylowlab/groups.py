@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS
-from .errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
+from .errors import ClosureExceedsCap, NotAGroup
 
 # Element indices are plain ints in [0, h); kept as an alias for signatures.
 ElementIndex = int
@@ -34,7 +34,7 @@ class Permutation:
         seen = [False] * n
         for v in imgs:
             if v < 0 or v >= n or seen[v]:
-                raise InvalidPermutation(f"images {imgs} are not a bijection on 0..{n - 1}")
+                raise ValueError(f"images {imgs} are not a bijection on 0..{n - 1}")
             seen[v] = True
         self.images = imgs
 
@@ -244,9 +244,9 @@ def group_from_generators(
     degree = gens[0].degree if gens else 1
     for g in gens:
         if not isinstance(g, Permutation):
-            raise InvalidPermutation(f"generator {g!r} is not a Permutation")
+            raise ValueError(f"generator {g!r} is not a Permutation")
         if g.degree != degree:
-            raise InvalidPermutation("generators must share one degree")
+            raise ValueError("generators must share one degree")
     if not gens or degree == 0:
         return FiniteGroup(np.zeros((1, 1), dtype=np.int32), label=label, element_names=["e"])
 

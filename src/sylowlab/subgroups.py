@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS
-from .errors import EnumerationCapExceeded, NotNormal, ParentMismatch
+from .errors import EnumerationCapExceeded
 from .groups import ElementIndex, FiniteGroup, _check_element, conjugates
 from .numtheory import prime_power_base
 
@@ -133,11 +133,6 @@ class SubgroupSet(ComplexSet):
         shown = ",".join(str(i) for i in self._arr[:12])
         more = "..." if self.size > 12 else ""
         return f"SubgroupSet(order={self.size}, members=[{shown}{more}])"
-
-
-def _require_same_parent(a, b) -> None:
-    if a.parent is not b.parent:
-        raise ParentMismatch("operands live in different parent groups")
 
 
 def _extend_subgroup(group: FiniteGroup, sub_arr: np.ndarray, gen_arr: np.ndarray) -> np.ndarray:
@@ -474,9 +469,9 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> Quotient:
     N itself and the quotient's identity.
     """
     if n.parent is not group:
-        raise ParentMismatch("subgroup does not belong to the given group")
+        raise ValueError("subgroup does not belong to the given group")
     if not is_normal(n):
-        raise NotNormal("quotient requires a normal subgroup")
+        raise ValueError("quotient requires a normal subgroup")
     table = group.table
     rep = table[n._arr].min(axis=0)                # rep[x] = min of the coset N x
     section = np.flatnonzero(rep == np.arange(group.order)).astype(np.int32)  # minimal representatives
@@ -524,24 +519,18 @@ def subgroups_within(a: SubgroupSet, cap: int | None = None) -> list[SubgroupSet
     return [SubgroupSet._of_vector(a.parent, _vector(emb[s._arr], a.parent.order)) for s in all_subgroups(grp, cap)]
 
 
-def subgroup_conjugacy_classes(
-    subs: Sequence[SubgroupSet], acting: SubgroupSet | None = None
-) -> list[list[int]]:
-    """Orbits of conjugation on the given subgroup list.
+def subgroup_conjugacy_classes(subs: Sequence[SubgroupSet]) -> list[list[int]]:
+    """Orbits of conjugation by the whole parent on the given subgroup list.
 
     Returns positions into subs, one list per orbit, orbits ordered by
-    first occurrence. acting restricts the conjugating elements to a
-    subgroup (defaults to the whole parent).
+    first occurrence.
     """
     if not subs:
         return []
     parent = subs[0].parent
-    for s in subs:
-        _require_same_parent(s, subs[0])
+    if any(s.parent is not parent for s in subs):
+        raise ValueError("operands live in different parent groups")
     actors = np.arange(parent.order)
-    if acting is not None:
-        _require_same_parent(acting, subs[0])
-        actors = acting._arr
     by_mask = {s.mask: i for i, s in enumerate(subs)}
     orbits: list[list[int]] = []
     done: set[int] = set()

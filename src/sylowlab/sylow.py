@@ -16,15 +16,6 @@ from math import gcd
 
 import numpy as np
 
-from .errors import (
-    NotAPGroup,
-    NotCoprime,
-    NotNormal,
-    OrderMismatch,
-    ParentMismatch,
-    PrimeDoesNotDivideOrder,
-    TrivialSubgroup,
-)
 from .groups import ElementIndex, FiniteGroup, _check_element, power
 from .numtheory import is_prime, prime_power_base, valuation
 from .subgroups import SubgroupSet, is_normal
@@ -89,7 +80,7 @@ def _require_prime(group: FiniteGroup, p: int) -> None:
 def _require_prime_divides(group: FiniteGroup, p: int) -> None:
     _require_prime(group, p)
     if group.order % p != 0:
-        raise PrimeDoesNotDivideOrder(f"{p} does not divide {group.order}")
+        raise ValueError(f"{p} does not divide {group.order}")
 
 
 def sylow_chain(group: FiniteGroup, p: int) -> SylowChain:
@@ -107,7 +98,7 @@ def chief_series(pgroup: FiniteGroup) -> ChiefSeries:
     """
     p = prime_power_base(pgroup.order)
     if p is None:
-        raise NotAPGroup(f"order {pgroup.order} is not a prime power")
+        raise ValueError(f"order {pgroup.order} is not a prime power")
     return ChiefSeries(series=sylow_chain(pgroup, p).chain[:-1])
 
 
@@ -120,13 +111,13 @@ def central_element_of_order_p(pgroup: FiniteGroup, n: SubgroupSet) -> ElementIn
     """
     p = prime_power_base(pgroup.order)
     if p is None:
-        raise NotAPGroup(f"order {pgroup.order} is not a prime power")
+        raise ValueError(f"order {pgroup.order} is not a prime power")
     if n.parent is not pgroup:
-        raise ParentMismatch("subgroup does not belong to the given group")
+        raise ValueError("subgroup does not belong to the given group")
     if n.is_trivial():
-        raise TrivialSubgroup("need a nontrivial normal subgroup")
+        raise ValueError("need a nontrivial normal subgroup")
     if not is_normal(n):
-        raise NotNormal("subgroup is not normal in the parent")
+        raise ValueError("subgroup is not normal in the parent")
     central = pgroup.central_mask()
     for x in n._arr:
         x = int(x)
@@ -146,12 +137,10 @@ def coprime_decomposition(group: FiniteGroup, c: ElementIndex, a: int, b: int) -
     if a < 1 or b < 1:
         raise ValueError("part orders must be positive")
     if gcd(a, b) != 1:
-        raise NotCoprime(f"{a} and {b} are not coprime")
+        raise ValueError(f"{a} and {b} are not coprime")
     ab = a * b
     if int(group.elem_order[c]) != ab:
-        raise OrderMismatch(
-            f"element has order {int(group.elem_order[c])}, expected {a}*{b}={ab}"
-        )
+        raise ValueError(f"element has order {int(group.elem_order[c])}, expected {a}*{b}={ab}")
     beta = (a * pow(a, -1, b)) % ab if ab > 1 else 0
     alpha = (1 - beta) % ab
     a_part = power(group, c, alpha)

@@ -8,12 +8,14 @@ elab_by_digit_array, elab_by_digit_formula, tower_by_quotients,
 table_by_row_index, closure_by_tuples, power_table_by_rows,
 is_normal_by_scan, is_normal_within_by_scan, contains_by_member_product,
 power_by_squaring, sylow_normals_by_normalizers,
-conj_table_by_inverse_rows and class_ids_by_least_action, the engine's
-former closure, two former lattice enumerators, automorphism search,
-two elab builders, Sylow tower, two generator-table builders, power
-table, normality scans, containment matrix, element power, Section 5
-normalizer computation, conjugation table and lattice class numbering,
-kept as references for the code that replaced them.
+conj_table_by_inverse_rows, class_ids_by_least_action,
+dihedral_by_blocks and q8_by_axis_rules, the engine's former closure,
+two former lattice enumerators, automorphism search, two elab builders,
+Sylow tower, two generator-table builders, power table, normality
+scans, containment matrix, element power, Section 5 normalizer
+computation, conjugation table, lattice class numbering, dihedral
+builder and quaternion builder, kept as references for the code that
+replaced them.
 lattice_by_cyclic_extension, the former general lattice pass, builds its
 record with the engine's _lattice_record, so a comparison of records
 checks the enumeration. build_by_oracles builds a parsed spec from the
@@ -27,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from sylowlab.catalog import _cycles_to_permutation, build
+from sylowlab.catalog import _cycles_to_permutation, _dihedral_names, build
 from sylowlab.groups import Permutation
 from sylowlab.numtheory import prime_power_base, valuation
 from sylowlab.subgroups import (
@@ -444,13 +446,51 @@ def closure_by_tuples(gens) -> tuple[np.ndarray, list[Permutation]]:
     return table, [Permutation(row) for row in elems]
 
 
+def dihedral_by_blocks(order: int) -> tuple[np.ndarray, list[str]]:
+    """Table and names of the dihedral group of the given order, one quarter block at a time: the engine's former builder.
+
+    Rotations r^i are 0..n-1 and reflections s r^i are n..2n-1.
+    """
+    n = order // 2
+    i = np.arange(n, dtype=np.int32)
+    table = np.empty((order, order), dtype=np.int32)
+    table[:n, :n] = (i[:, None] + i[None, :]) % n            # rot * rot
+    table[:n, n:] = n + (i[None, :] - i[:, None]) % n        # rot then refl
+    table[n:, :n] = n + (i[:, None] + i[None, :]) % n        # refl then rot
+    table[n:, n:] = (i[None, :] - i[:, None]) % n            # refl then refl
+    return table, _dihedral_names(n)
+
+
+_Q8_MUL = {  # axis products with sign, quaternion rules
+    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+    ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
+    ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
+    ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
+    ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
+    ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
+}
+
+
+def q8_by_axis_rules() -> tuple[np.ndarray, list[str]]:
+    """Table and names of the quaternion group from its sixteen axis products: the engine's former builder."""
+    elements = [(sign, axis) for axis in "1ijk" for sign in (1, -1)]
+    index = {e: i for i, e in enumerate(elements)}
+    table = np.empty((8, 8), dtype=np.int32)
+    for a, (sa, xa) in enumerate(elements):
+        for b, (sb, xb) in enumerate(elements):
+            sign, axis = _Q8_MUL[(xa, xb)]
+            table[a, b] = index[(sa * sb * sign, axis)]
+    return table, [("" if s > 0 else "-") + a for s, a in elements]
+
+
 def build_by_oracles(spec) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Table and element names of a parsed spec, from the former builders.
 
     sym, alt and perm close the engine's generators with
-    closure_by_tuples, elab takes elab_by_digit_formula, and prod combines
-    its factors' oracle tables and names. cyclic, dihedral and q8 keep
-    the engine's table formulas, which no change has replaced.
+    closure_by_tuples, elab takes elab_by_digit_formula, dihedral takes
+    dihedral_by_blocks, q8 takes q8_by_axis_rules, and prod combines its
+    factors' oracle tables and names. cyclic keeps the engine's table
+    formula, which no change has replaced.
     """
     kind, args = spec.kind, spec.args
     if kind == "prod":
@@ -459,8 +499,8 @@ def build_by_oracles(spec) -> tuple[np.ndarray, tuple[str, ...] | None]:
         table = (ta[:, None, :, None].astype(np.int64) * len(tb) + tb[None, :, None, :]).reshape(order, order)
         names = None if na is None or nb is None else tuple(f"({x},{y})" for x in na for y in nb)
         return table.astype(np.int32), names
-    if kind == "elab":
-        table, names = elab_by_digit_formula(*args)
+    if kind in ("elab", "dihedral", "q8"):
+        table, names = {"elab": elab_by_digit_formula, "dihedral": dihedral_by_blocks, "q8": q8_by_axis_rules}[kind](*args)
         return table, tuple(names)
     if kind in ("sym", "alt", "perm"):
         if kind == "perm":

@@ -21,7 +21,7 @@ from sylowlab.catalog import (
     render,
     standard_catalog,
 )
-from sylowlab.errors import ClosureExceedsCap, NotAGroup, ParseError, ValidationError
+from sylowlab.errors import ClosureExceedsCap, NotAGroup, ParseError
 from sylowlab.groups import group_from_table
 from sylowlab.subgroups import center, is_cyclic
 
@@ -101,15 +101,15 @@ def test_numerals_are_ascii_digits_only(capsys, text, offset):
 
 
 def test_validation_errors():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="dihedral order must be even and >= 2, got 7"):
         parse_spec("dihedral:7")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="elab base 4 is not prime"):
         parse_spec("elab:4^2")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="elab exponent must be >= 1, got 0"):
         parse_spec("elab:3^0")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="cyclic needs a positive parameter, got 0"):
         parse_spec("cyclic:0")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="point 2 repeated within one generator"):
         parse_spec("perm:(1 2)(2 3)")
 
 

@@ -471,6 +471,39 @@ def test_tall_table_is_read_only_one_row_past_its_width(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and "got shape (3, 2)" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 1 2\n1 2\n2 0 1\n", "table row 2 has 2 entries, the first row has 3"),
+    ("0 1 2\n# a comment\n1 2 0 1 2\n2 0 1\n", "table row 2 has 5 entries, the first row has 3"),
+    ("0 1 2\n1 2 0\n2 0 # 1\n", "table row 3 has 2 entries, the first row has 3"),
+    ("", "table file has no rows"),
+    ("# a comment\n\n   \n#\n", "table file has no rows"),
+])
+def test_ragged_or_empty_table_file_gets_the_engine_diagnostic(capsys, tmp_path, text, message):
+    """Every data row read is checked against the first, so numpy only ever reads a rectangle."""
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "info", f"table:@{path}")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_overlong_later_table_row_is_refused_within_400_mb(tmp_path):
+    """A 40 MB second row is refused at its first piece past the first row's width, not parsed by numpy."""
+    limit = 400 * 2**20
+    path = tmp_path / "long_second_row.txt"
+    path.write_text("0 1 2\n" + "0 " * 20_000_000 + "\n2 0 1\n")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "sylowlab.cli", "info", f"table:@{path}"],
+        capture_output=True, env=env_with_src(), preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == b"error: table row 2 has over 3 entries, the first row has 3\n"
+
+
 def test_verify_catalog_24_json_digest(capsys):
     """The report stream is pinned: a refactor of the suite must not change one byte."""
     code, out, _ = run_cli(capsys, "verify", "--catalog", "24", "--json")

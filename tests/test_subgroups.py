@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sylowlab.catalog import build, catalog_specs, standard_catalog
 from sylowlab.counting import _solutions, complex_power_stabilization
-from sylowlab.errors import ClosureExceedsCap, EnumerationCapExceeded, NotNormal, ParentMismatch
+from sylowlab.errors import ClosureExceedsCap, EnumerationCapExceeded
 from sylowlab.groups import Permutation, conjugate, conjugates, element_order, group_from_generators, power
 from sylowlab.numtheory import divisors, is_prime, prime_factorization, valuation
 from sylowlab.subgroups import (
@@ -627,7 +627,7 @@ def test_quotient_examples():
     quo = quotient(q8, center(q8))
     assert quo.group.order == 4
     assert sorted(quo.group.elem_order.tolist()) == [1, 2, 2, 2]
-    with pytest.raises(NotNormal):
+    with pytest.raises(ValueError, match="quotient requires a normal subgroup"):
         quotient(s3, subgroups_of_order(s3, 2)[0])
 
 
@@ -660,10 +660,8 @@ def test_subgroup_conjugacy_classes():
     for orbit in classes:
         for pos in orbit:
             assert len(orbit) * normalizer(twos[pos]).size == s4.order
-    with pytest.raises(ParentMismatch):
+    with pytest.raises(ValueError, match="operands live in different parent groups"):
         subgroup_conjugacy_classes(sylow3 + [trivial_subgroup(build("sym:3"))])
-    with pytest.raises(ParentMismatch):
-        subgroup_conjugacy_classes(sylow3, acting=whole_group(build("sym:3")))
 
 
 def test_automorphism_counts():

@@ -6,15 +6,6 @@ import numpy as np
 import pytest
 
 from sylowlab.catalog import EXTRASPECIAL_27_EXP9_SPEC, HEISENBERG_3_SPEC, build, standard_catalog
-from sylowlab.errors import (
-    NotAPGroup,
-    NotCoprime,
-    NotNormal,
-    OrderMismatch,
-    ParentMismatch,
-    PrimeDoesNotDivideOrder,
-    TrivialSubgroup,
-)
 from sylowlab.groups import element_order
 from sylowlab.numtheory import divisors, prime_factorization, valuation
 from sylowlab.subgroups import (
@@ -76,7 +67,7 @@ def test_sylow_chain_cyclic8_unique():
 
 def test_sylow_chain_errors():
     s4 = build("sym:4")
-    with pytest.raises(PrimeDoesNotDivideOrder):
+    with pytest.raises(ValueError, match="5 does not divide 24"):
         sylow_chain(s4, 5)
     with pytest.raises(ValueError):
         sylow_chain(s4, 6)
@@ -156,7 +147,7 @@ def test_chief_series_is_the_sylow_tower_below_its_top(spec):
 
 
 def test_chief_series_rejects_non_p_group():
-    with pytest.raises(NotAPGroup):
+    with pytest.raises(ValueError, match="order 6 is not a prime power"):
         chief_series(build("sym:3"))
 
 
@@ -186,13 +177,13 @@ def test_central_element_dihedral_klein():
 
 def test_central_element_errors():
     d8 = build("dihedral:8")
-    with pytest.raises(TrivialSubgroup):
+    with pytest.raises(ValueError, match="need a nontrivial normal subgroup"):
         central_element_of_order_p(d8, closure_of(ComplexSet(d8, [])))
-    with pytest.raises(NotNormal):
+    with pytest.raises(ValueError, match="subgroup is not normal in the parent"):
         central_element_of_order_p(d8, closure_of(ComplexSet(d8, [4])))
-    with pytest.raises(NotAPGroup):
+    with pytest.raises(ValueError, match="order 6 is not a prime power"):
         central_element_of_order_p(build("sym:3"), whole_group(build("sym:3")))
-    with pytest.raises(ParentMismatch, match="does not belong to the given group"):
+    with pytest.raises(ValueError, match="does not belong to the given group"):
         central_element_of_order_p(d8, whole_group(build("dihedral:8")))
 
 
@@ -223,9 +214,9 @@ def test_coprime_decomposition_cyclic12():
 
 def test_coprime_decomposition_errors():
     c6 = build("cyclic:6")
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ValueError, match="2 and 2 are not coprime"):
         coprime_decomposition(c6, 1, 2, 2)
-    with pytest.raises(OrderMismatch):
+    with pytest.raises(ValueError, match=r"element has order 6, expected 3\*4=12"):
         coprime_decomposition(c6, 1, 3, 4)
 
 

@@ -138,3 +138,26 @@ def test_every_public_name_is_reached_outside_the_tests():
             reached.update(node.value.split("."))
     assert defined
     assert sorted(where for name, places in defined.items() if name not in reached for where in places) == []
+
+
+KEPT_ERRORS = {"SylowLabError", "ParseError", "NotAGroup", "ClosureExceedsCap", "EnumerationCapExceeded"}
+
+
+def test_a_bad_argument_is_refused_with_value_error():
+    """The package raises ValueError, RuntimeError, SystemExit or one of the five error types that carry data or name another outcome.
+
+    An unmet hypothesis or an invalid parameter is a ValueError; a type of
+    its own would be one more way to refuse that no caller tells apart.
+    """
+    package = ROOT / "src" / "sylowlab"
+    allowed = {"ValueError", "RuntimeError", "SystemExit"} | KEPT_ERRORS
+    strays = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(raised) not in allowed:
+                    strays.append(f"{path.name}:{node.lineno}: raise {ast.unparse(raised)}")
+    assert strays == []
+    tree = ast.parse((package / "errors.py").read_text())
+    assert {node.name for node in tree.body if isinstance(node, ast.ClassDef)} == KEPT_ERRORS
