@@ -414,7 +414,7 @@ def _table_width(path: str, cap: int) -> int:
                 comment = bool(hash_)
                 count += len(text.split()) - (joined and text[:1].strip() != "")
                 joined = text[-1:].strip() != ""
-            ended = piece.endswith("\n") or not piece  # the row, or the file, ends here
+            ended = piece.endswith("\n") or len(piece) < 1 << 16  # a short piece: the row, or the file, ends here
             shown = count if ended else f"over {width or cap}"
             if not rows and count > cap:
                 raise ClosureExceedsCap(f"table order {shown} exceeds construction cap {cap}")

@@ -24,11 +24,11 @@ from .subgroups import (
     ComplexSet,
     Lattice,
     SubgroupSet,
+    _characteristic,
     _is_normal_of_prime_index,
     _vector,
     all_subgroups,  # unused here; perfbench's tracer test patches counting.all_subgroups
     closure_of,
-    is_characteristic,
     lattice,
 )
 from .sylow import _require_prime, _require_prime_divides, sylow_chain
@@ -179,14 +179,17 @@ def _solution_subgroup_reports(group: FiniteGroup, ns: Sequence[int], caps: Caps
     """solution_subgroup for each n in ns, divisors of h, with one closure per distinct solution set.
 
     The characteristic check and the witness string are made once per
-    distinct closure; only the divisibility and the text depend on n.
+    distinct closure; only the divisibility and the text depend on n. The
+    checks share one search of Aut(G), made only if some closure is
+    neither 1 nor G.
     """
     sets, which = _solution_sets(group, ns)
     closures = [closure_of(s) for s in sets]
     distinct = {k.mask: k for k in closures}
     witness = {mask: _members_str(k._arr) for mask, k in distinct.items()}
     check_char = group.order <= caps.automorphisms
-    characteristic = {mask: is_characteristic(k, caps.automorphisms) for mask, k in distinct.items() if check_char}
+    verdicts = _characteristic(group, list(distinct.values()), caps.automorphisms) if check_char else []
+    characteristic = dict(zip(distinct, verdicts))
     reports = []
     for n, i in zip(ns, which):
         generated = closures[i]

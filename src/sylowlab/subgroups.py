@@ -550,8 +550,9 @@ def automorphisms(group: FiniteGroup, cap: int | None = None) -> np.ndarray:
     on H is extended by every same-order image of g outside phi(H), then
     along <H, g> by products of two mapped elements (log-many levels on a
     cyclic piece). A row survives if it respects every generator edge and
-    has trivial kernel. The result is a cached, read-only (n_aut, order)
-    int32 array in ascending lexicographic order, with no sort: each new
+    has trivial kernel. The result is a read-only (n_aut, order) int32
+    array, computed on each call and not cached, in ascending
+    lexicographic order with no sort: each new
     generator is the least index outside the mapped subgroup, so rows
     agree on every earlier column; the expansion keeps the parent rows'
     order and takes each row's candidate images in ascending order, and
@@ -561,17 +562,26 @@ def automorphisms(group: FiniteGroup, cap: int | None = None) -> np.ndarray:
     the search once a level would hold more than MAX_AUTOMORPHISM_MAPS
     partial maps.
     """
+    _check_automorphism_cap(group, cap)
+    autos = _automorphism_search(group)
+    autos.flags.writeable = False
+    return autos
+
+
+def _check_automorphism_cap(group: FiniteGroup, cap: int | None) -> None:
     cap = DEFAULT_CAPS.automorphisms if cap is None else cap
     if group.order > cap:
         raise EnumerationCapExceeded(
             f"group order {group.order} exceeds the automorphism cap {cap}"
         )
-    return group.memo("automorphisms", lambda: _automorphism_search(group))
 
 
-# The most partial maps one level of the automorphism search may hold. The
-# largest level under the default caps holds 20,160 (elab:2^4); elab:2^5
-# would need 624,960 at its fourth level and 9,999,360 at its fifth.
+# The most partial maps one level of the automorphism search may hold. Under
+# the default caps the largest Aut(G) is elab:2^4's 20,160 maps. verify never
+# builds it: S2.III searches only when a closure is neither 1 nor G, which
+# on the catalog up to 24 reaches 192 maps at most (prod(cyclic:2,q8)).
+# elab:2^5 would need 624,960 maps at its fourth level and 9,999,360 at its
+# fifth.
 MAX_AUTOMORPHISM_MAPS = 1 << 18
 
 
@@ -619,7 +629,22 @@ def _automorphism_search(group: FiniteGroup) -> np.ndarray:
 
 def is_characteristic(a: SubgroupSet, cap: int | None = None) -> bool:
     """True iff every automorphism of the parent maps A onto itself."""
-    return bool(_vector(a._arr, a.parent.order)[automorphisms(a.parent, cap)[:, a._arr]].all())
+    return _characteristic(a.parent, [a], cap)[0]
+
+
+def _characteristic(group: FiniteGroup, subs: Sequence[SubgroupSet], cap: int | None = None) -> list[bool]:
+    """is_characteristic for each of the group's subgroups, with at most one automorphism search.
+
+    1 and G are characteristic by definition: an automorphism fixes the
+    identity and is a bijection of G. They are answered with no search,
+    and Aut(G) is built only if some other subgroup is asked about.
+    """
+    h = group.order
+    if all(s.size in (1, h) for s in subs):
+        _check_automorphism_cap(group, cap)  # refused above the cap all the same
+        return [True] * len(subs)
+    autos = automorphisms(group, cap)
+    return [s.size in (1, h) or bool(_vector(s._arr, h)[autos[:, s._arr]].all()) for s in subs]
 
 
 def is_cyclic(group: FiniteGroup) -> bool:

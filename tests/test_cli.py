@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylowlab import catalog, cli
+from sylowlab import catalog, cli, subgroups
 from sylowlab.catalog import MAX_PROD_DEPTH, build
 from sylowlab.config import ENV_CAPS
 from sylowlab.counting import VerificationReport, theorem_suite
@@ -313,17 +313,34 @@ def test_running_out_of_memory_exits_2_with_one_line():
     assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
 
 
-AUT_REFUSAL = "error: elab:2^5 needs more than 262144 partial automorphism maps, the automorphism search bound\n"
+AUT_REFUSAL = (
+    "error: prod(cyclic:4,elab:2^4) needs more than 262144 partial automorphism maps, "
+    "the automorphism search bound\n"
+)
 
 
 def test_automorphism_search_past_its_bound_exits_2_fast(monkeypatch, capsys):
-    """Under a raised automorphism cap, elab:2^5 (|GL(5,2)| = 9,999,360 maps) is refused at its fourth level."""
-    monkeypatch.setenv(ENV_CAPS, ",,32")
+    """Under a raised automorphism cap, C4 x C2^4 has a proper S2.III closure, and its Aut search is refused."""
+    monkeypatch.setenv(ENV_CAPS, ",,64")
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "elab:2^5", "--theorems", "S2.III")
+    code, out, err = run_cli(capsys, "verify", "prod(cyclic:4,elab:2^4)", "--theorems", "S2.III")
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err == AUT_REFUSAL
+
+
+def test_closures_that_are_1_or_g_need_no_automorphism_search(monkeypatch, capsys):
+    """elab:2^5 (|GL(5,2)| = 9,999,360 maps, past the search bound) has S2.III closures 1 and G only."""
+
+    def no_search(group):
+        raise AssertionError(f"searched Aut({group.label})")
+
+    monkeypatch.setattr(subgroups, "_automorphism_search", no_search)
+    monkeypatch.setenv(ENV_CAPS, ",,32")
+    code, out, err = run_cli(capsys, "verify", "elab:2^5", "--theorems", "S2.III")
+    lines = out.splitlines()
+    assert code == 0 and err == "" and len(lines) == 6
+    assert all(line.endswith("characteristic=yes") for line in lines)
 
 
 def test_automorphism_search_past_its_bound_is_refused_within_400_mb():
@@ -334,8 +351,8 @@ def test_automorphism_search_past_its_bound_is_refused_within_400_mb():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "sylowlab.cli", "verify", "elab:2^5", "--theorems", "S2.III"],
-        capture_output=True, env={**env_with_src(), ENV_CAPS: ",,32"}, preexec_fn=cap_memory, timeout=120,
+        [sys.executable, "-m", "sylowlab.cli", "verify", "prod(cyclic:4,elab:2^4)", "--theorems", "S2.III"],
+        capture_output=True, env={**env_with_src(), ENV_CAPS: ",,64"}, preexec_fn=cap_memory, timeout=120,
     )
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr == AUT_REFUSAL.encode()
@@ -442,6 +459,16 @@ def test_table_above_cap_is_refused_from_its_first_row(monkeypatch, capsys, tmp_
     assert err == "error: table order 5 exceeds construction cap 4\n"
 
 
+def test_table_row_that_ends_the_file_is_refused_by_its_count(monkeypatch, capsys, tmp_path):
+    """A short last piece with no newline is the end of the row, not a row cut off at the piece length."""
+    path = tmp_path / "no_newline.txt"
+    path.write_text("0 1 2 3 4")
+    monkeypatch.setenv(ENV_CAPS, "4,,")
+    code, out, err = run_cli(capsys, "info", f"table:@{path}")
+    assert code == 2 and out == ""
+    assert err == "error: table order 5 exceeds construction cap 4\n"
+
+
 def test_table_row_past_the_cap_is_refused_before_conversion(monkeypatch, capsys, tmp_path):
     """Fields are counted, not converted: a bad token after cap + 1 entries still gets the cap error."""
     path = tmp_path / "wide_bad.txt"
@@ -475,6 +502,7 @@ def test_tall_table_is_read_only_one_row_past_its_width(capsys, tmp_path):
     ("0 1 2\n1 2\n2 0 1\n", "table row 2 has 2 entries, the first row has 3"),
     ("0 1 2\n# a comment\n1 2 0 1 2\n2 0 1\n", "table row 2 has 5 entries, the first row has 3"),
     ("0 1 2\n1 2 0\n2 0 # 1\n", "table row 3 has 2 entries, the first row has 3"),
+    ("0 1\n1 0 5", "table row 2 has 3 entries, the first row has 2"),
     ("", "table file has no rows"),
     ("# a comment\n\n   \n#\n", "table file has no rows"),
 ])
@@ -510,6 +538,23 @@ def test_verify_catalog_24_json_digest(capsys):
     assert code == 0 and out.count("\n") == 2644
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "80896d86be7879aa08970e07a3a30498bc0dd8157074ad69c1d7a9fcfe8215b7"
+
+
+UNSEARCHED_24 = {
+    "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:5", "cyclic:7", "cyclic:11", "cyclic:13", "cyclic:17", "cyclic:19",
+    "cyclic:23", "dihedral:4", "dihedral:8", "dihedral:16", "elab:2^2", "elab:2^3", "elab:2^4", "elab:3^2",
+}
+
+
+def test_verify_searches_aut_once_per_group_with_a_proper_closure(monkeypatch, capsys):
+    """Over the catalog up to 24, Aut(G) is searched once for each of the 29 groups with an S2.III
+    closure that is neither 1 nor G, and never for the 17 whose closures are all 1 or G."""
+    searched = []
+    search = subgroups._automorphism_search
+    monkeypatch.setattr(subgroups, "_automorphism_search", lambda group: searched.append(group.label) or search(group))
+    code, _, _ = run_cli(capsys, "verify", "--catalog", "24", "--json")
+    assert code == 0 and len(searched) == len(set(searched)) == 29
+    assert set(catalog.catalog_specs(24)) - set(searched) == UNSEARCHED_24
 
 
 @pytest.mark.parametrize("extra, lines, digest", [

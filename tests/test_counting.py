@@ -730,14 +730,20 @@ def test_sylow_local_checks_read_the_lattice(monkeypatch, selection):
     assert all(r.passed for r in reports)
 
 
-def test_lattice_free_selection_skips_lattice_and_automorphisms():
-    """Only the lattice checks and S3.I's cross-check enumerate subgroups; S3.I's only under the subgroup cap."""
+def test_lattice_free_selection_skips_lattice_and_automorphisms(monkeypatch):
+    """Only the lattice checks and S3.I's cross-check enumerate subgroups; S3.I's only under the subgroup cap.
+
+    Only S2.III searches Aut(G), once: sym:4's closures include A4, which is neither 1 nor G.
+    """
+    searched = []
+    search = subgroups._automorphism_search
+    monkeypatch.setattr(subgroups, "_automorphism_search", lambda group: searched.append(group) or search(group))
     group = build("sym:4")
     reports = theorem_suite(group, selected=select_checks("intro.gcd,intro.pcount,S2.IV"))
     assert {r.theorem_id for r in reports} == {"intro.gcd", "intro.pcount", "S2.IV"}
-    assert "subgroups" not in group._cache and "automorphisms" not in group._cache
+    assert "subgroups" not in group._cache and searched == []
     theorem_suite(group, selected=select_checks("intro.gcd,intro.pcount,S2.III,S2.power,S2.IV"))
-    assert "subgroups" not in group._cache and "automorphisms" in group._cache
+    assert "subgroups" not in group._cache and searched == [group]
     theorem_suite(group, selected=select_checks("S4.I"))
     assert "subgroups" in group._cache
     tower_only = build("sym:4")

@@ -704,10 +704,22 @@ def test_automorphisms_match_backtracking_oracle(group):
     autos = automorphisms(group, cap=128)
     assert autos.dtype == np.int32 and autos.shape[1] == group.order
     assert [tuple(int(v) for v in row) for row in autos] == automorphisms_by_backtracking(group)
-    assert automorphisms(group, cap=128) is autos
+    assert np.array_equal(automorphisms(group, cap=128), autos)
     assert not autos.flags.writeable
     with pytest.raises(ValueError):
         autos[0, 0] = 1
+
+
+@pytest.mark.parametrize("group", [g for _, g in standard_catalog(24)], ids=lambda g: g.label)
+def test_characteristic_verdicts_match_the_automorphism_oracle(group):
+    """Every lattice subgroup, 1 and G included, against Aut(G) as the backtracking oracle finds it,
+    and the batched core against one call per subgroup."""
+    autos = automorphisms_by_backtracking(group)
+    assert [tuple(int(v) for v in row) for row in automorphisms(group)] == autos
+    subs = lattice(group).subs
+    single = [is_characteristic(s) for s in subs]
+    assert single == [all({phi[x] for x in s.members} == set(s.members) for phi in autos) for s in subs]
+    assert subgroups_module._characteristic(group, subs, 24) == single
 
 
 @pytest.mark.parametrize("spec", catalog_specs(24) + ["elab:2^4"])
